@@ -3,10 +3,12 @@ checks.
 
 Two transmitters send length-q binary columns; each receiver sees the XOR
 of down-shifted copies, the shift being q minus the link's integer
-strength.  Because the channel is deterministic and inputs are independent
-across transmitters, mutual informations and entropies can be evaluated
-exactly by enumerating the 2^(2q) joint outcomes, which is what the two
-check functions below do for every supplied input distribution:
+strength, so y = (x1 >> (q - s1)) XOR (x2 >> (q - s2)) with independent
+inputs.  XOR with a fixed value is a bijection, so H(y | x1) is the entropy
+of the interference image, and the law of y is the XOR-convolution of the
+two image laws: one Walsh-Hadamard transform product, O(q 2^q) per input
+distribution.  The two check functions below take whole batches of
+distributions at once, as (n, 2^q) arrays:
 
 * ``check_less_noisy``  — receiver b learns at least as much about x1 as
   receiver a whenever its interference-free headroom covers the whole of
@@ -86,13 +88,20 @@ def adt_output(params: AdtParams, x1: Sequence[int], x2: Sequence[int]):
     return ya, yb
 
 
+def _entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of every row of ``p``, with 0 log 0 = 0.
+
+    Rows must be nonnegative and sum to 1; masses in [-1e-12, 0] (transform
+    round-off) count as 0.
+    """
+    if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
+        raise ValueError("probabilities must be nonnegative and sum to 1")
+    return -(p * np.log2(np.where(p > 0, p, 1.0))).sum(axis=1)
+
+
 def entropy(probs: Iterable[float]) -> float:
     """Shannon entropy in bits, with 0 log 0 = 0.  Masses must sum to 1."""
-    p = np.asarray(list(probs), dtype=np.float64)
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("probabilities must be nonnegative and sum to 1")
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+    return float(_entropy_rows(np.asarray(list(probs), dtype=np.float64)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -137,80 +146,72 @@ class AdtDistribution:
     @staticmethod
     def product_bernoulli(theta1: Sequence[float], theta2: Sequence[float]) -> "AdtDistribution":
         """Per-level independent bits; theta[i] is P(top-level-i bit = 1)."""
-
-        def expand(thetas):
-            p = np.array([1.0])
-            for t in thetas:
-                p = np.kron(p, np.array([1.0 - t, t]))
-            p = p / p.sum()
-            return tuple(p.tolist())
-
         if len(theta1) != len(theta2):
             raise ValueError("sources must share the same q")
-        return AdtDistribution(expand(theta1), expand(theta2))
+        return _as_dists(_product_laws(np.array([[theta1, theta2]], dtype=np.float64)))[0]
 
 
-def _shift_tables(params: AdtParams):
-    q = params.q
-    x = np.arange(1 << q, dtype=np.int64)
-    return {
-        "f1a": x >> (q - params.m1) if q > params.m1 else x.copy(),
-        "f2a": x >> (q - params.m2) if q > params.m2 else x.copy(),
-        "f1b": x >> (q - params.n1) if q > params.n1 else x.copy(),
-        "f2b": x >> (q - params.n2) if q > params.n2 else x.copy(),
-    }
+def _product_laws(theta: np.ndarray) -> np.ndarray:
+    """Laws over 2^q bit columns of independent levels, P(level i = 1) = theta[..., i]."""
+    p = np.ones(theta.shape[:-1] + (1,))
+    for i in range(theta.shape[-1]):
+        t = theta[..., i, None]
+        p = np.stack((p * (1.0 - t), p * t), axis=-1).reshape(*theta.shape[:-1], 2 << i)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
-def _pushforward(table: np.ndarray, p: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(p))
-    np.add.at(out, table, p)
-    return out
+def _stack(params: AdtParams, dists: Sequence[AdtDistribution]):
+    """The batch's marginals as two (n, 2^q) arrays."""
+    shape = (len(dists), 1 << params.q)
+    if any(len(d.p1) != shape[1] for d in dists):
+        raise ValueError(f"every distribution must have q = {params.q}")
+    return np.reshape([d.p1 for d in dists], shape), np.reshape([d.p2 for d in dists], shape)
 
 
-def _output_stats(params: AdtParams, dist: AdtDistribution, receiver: str):
-    """(H(y), I(x1; y)) for one receiver, by exact joint enumeration.
+def _image(p: np.ndarray, s: int) -> np.ndarray:
+    """Row laws of x >> (q - s), still over all 2^q columns."""
+    n, size = p.shape
+    img = p.reshape(n, 1 << s, size >> s).sum(axis=2)
+    return np.pad(img, ((0, 0), (0, size - (1 << s))))
 
-    The output marginal and the per-x1 conditional entropies are
-    accumulated over all 2^q x 2^q input pairs (conditionals are grouped by
-    the shifted image of x1, which determines them exactly).
+
+def _wht(a: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform of every row (length 2^q)."""
+    n, size = a.shape
+    h = 1
+    while h < size:
+        a = a.reshape(n, size // (2 * h), 2, h)
+        a = np.stack((a[:, :, 0] + a[:, :, 1], a[:, :, 0] - a[:, :, 1]), axis=2)
+        h *= 2
+    return a.reshape(n, size)
+
+
+def _entropies(params: AdtParams, p1: np.ndarray, p2: np.ndarray, receiver: str):
+    """Rows of H(y) and of H(y | x1) at receiver 'a' or 'b'.
+
+    y is the XOR of the x1 image and the interference image: its law is
+    their XOR-convolution, and given x1 it relabels the interference image.
     """
-    tabs = _shift_tables(params)
-    f1 = tabs["f1a" if receiver == "a" else "f1b"]
-    f2 = tabs["f2a" if receiver == "a" else "f2b"]
-    p1 = np.asarray(dist.p1)
-    p2 = np.asarray(dist.p2)
-    size = len(p1)
-    interf = _pushforward(f2, p2)  # distribution of the interference image
-    idx = np.arange(size, dtype=np.int64)
-    marginal = np.zeros(size)
-    h_cond = 0.0
-    # group x1 values by their shifted image c: y | x1 has law interf XOR c
-    pc = _pushforward(f1, p1)
-    for c in range(size):
-        if pc[c] == 0.0:
-            continue
-        cond = interf[idx ^ c]
-        marginal += pc[c] * cond
-        h_cond += pc[c] * entropy(cond)
-    h_y = entropy(marginal)
-    return h_y, h_y - h_cond
+    s1, s2 = (params.m1, params.m2) if receiver == "a" else (params.n1, params.n2)
+    signal, interf = _image(p1, s1), _image(p2, s2)
+    law = _wht(_wht(signal) * _wht(interf)) / p1.shape[1]
+    return _entropy_rows(law), _entropy_rows(interf)
 
 
 def interference_image_entropy(params: AdtParams, dist: AdtDistribution, receiver: str) -> float:
     """H of the shifted interference seen at the receiver (H(y | x1))."""
-    tabs = _shift_tables(params)
-    f2 = tabs["f2a" if receiver == "a" else "f2b"]
-    return entropy(_pushforward(f2, np.asarray(dist.p2)))
+    return float(_entropies(params, *_stack(params, [dist]), receiver)[1][0])
 
 
 def mutual_information_x1(params: AdtParams, dist: AdtDistribution, receiver: str) -> float:
     """Exact I(x1; y) at receiver 'a' or 'b'."""
-    return _output_stats(params, dist, receiver)[1]
+    h_y, h_cond = _entropies(params, *_stack(params, [dist]), receiver)
+    return float(h_y[0] - h_cond[0])
 
 
 def output_entropy(params: AdtParams, dist: AdtDistribution, receiver: str) -> float:
     """Exact H(y) at receiver 'a' or 'b'."""
-    return _output_stats(params, dist, receiver)[0]
+    return float(_entropies(params, *_stack(params, [dist]), receiver)[0][0])
 
 
 @dataclass(frozen=True)
@@ -229,11 +230,22 @@ class AdtCheckReport:
         return self.min_slack >= -self.tol
 
 
-def _guard(params: AdtParams, q_cap: int) -> None:
+def _batch_entropies(params: AdtParams, dists: Sequence[AdtDistribution], q_cap: int):
+    """Rows of (H(y), H(y | x1)) at receiver a, then at receiver b."""
     if params.q > q_cap:
         raise PreconditionError(
-            f"q = {params.q} exceeds the enumeration cap {q_cap} (2^(2q) outcomes)"
+            f"q = {params.q} exceeds the cap {q_cap} on the 2^q-point laws held per distribution"
         )
+    p1, p2 = _stack(params, dists)
+    return _entropies(params, p1, p2, "a"), _entropies(params, p1, p2, "b")
+
+
+def _report(mode: str, params: AdtParams, slack: np.ndarray, tol: float) -> AdtCheckReport:
+    """Report the smallest slack and the first index attaining it."""
+    if slack.size == 0:
+        return AdtCheckReport(mode, params, 0, float("inf"), None, tol)
+    worst = int(np.argmin(slack))
+    return AdtCheckReport(mode, params, slack.size, float(slack[worst]), worst, tol)
 
 
 def check_less_noisy(
@@ -249,13 +261,8 @@ def check_less_noisy(
     """
     if params.n1 - params.n2 < params.m1:
         raise PreconditionError("requires n1 - n2 >= m1")
-    _guard(params, q_cap)
-    min_slack, worst = np.inf, None
-    for i, dist in enumerate(dists):
-        slack = mutual_information_x1(params, dist, "b") - mutual_information_x1(params, dist, "a")
-        if slack < min_slack:
-            min_slack, worst = slack, i
-    return AdtCheckReport("lessnoisy", params, len(dists), float(min_slack), worst, tol)
+    (ha, ca), (hb, cb) = _batch_entropies(params, dists, q_cap)
+    return _report("lessnoisy", params, (hb - cb) - (ha - ca), tol)
 
 
 def check_entropy_diff(
@@ -271,38 +278,28 @@ def check_entropy_diff(
     """
     if params.n1 - 2 * params.n2 < params.m1 - params.m2 or params.n2 > params.m2:
         raise PreconditionError("requires n1 - 2*n2 >= m1 - m2 and n2 <= m2")
-    _guard(params, q_cap)
-    cap = params.m2 - params.n2
-    min_slack, worst = np.inf, None
-    for i, dist in enumerate(dists):
-        diff = output_entropy(params, dist, "a") - output_entropy(params, dist, "b")
-        slack = cap - diff
-        if slack < min_slack:
-            min_slack, worst = slack, i
-    return AdtCheckReport("entropydiff", params, len(dists), float(min_slack), worst, tol)
+    (ha, _), (hb, _) = _batch_entropies(params, dists, q_cap)
+    return _report("entropydiff", params, (params.m2 - params.n2) - (ha - hb), tol)
 
 
 def random_product_dists(q: int, count: int, rng: np.random.Generator) -> list[AdtDistribution]:
-    """Product-Bernoulli marginals with per-level probabilities ~ U(0,1)."""
-    out = []
-    for _ in range(count):
-        out.append(
-            AdtDistribution.product_bernoulli(
-                rng.uniform(size=q).tolist(), rng.uniform(size=q).tolist()
-            )
-        )
-    return out
+    """Product-Bernoulli marginals with per-level probabilities ~ U(0,1).
+
+    The levels come from one draw, p1 then p2 per distribution: the same
+    stream, so the same laws, as drawing each distribution in turn.
+    """
+    return _as_dists(_product_laws(rng.uniform(size=(count, 2, q))))
+
+
+def _as_dists(laws: np.ndarray) -> list[AdtDistribution]:
+    """One distribution per (2, 2^q) block of marginals p1, p2."""
+    return [AdtDistribution(tuple(p1), tuple(p2)) for p1, p2 in laws.tolist()]
 
 
 def random_table_dists(q: int, count: int, rng: np.random.Generator) -> list[AdtDistribution]:
     """Arbitrary per-source tables drawn from a flat Dirichlet."""
-    out = []
-    size = 1 << q
-    for _ in range(count):
-        p1 = rng.dirichlet(np.ones(size))
-        p2 = rng.dirichlet(np.ones(size))
-        out.append(AdtDistribution(tuple((p1 / p1.sum()).tolist()), tuple((p2 / p2.sum()).tolist())))
-    return out
+    tables = rng.dirichlet(np.ones(1 << q), size=(count, 2))
+    return _as_dists(tables / tables.sum(axis=-1, keepdims=True))
 
 
 def regime_params(q_max: int, mode: str) -> list[AdtParams]:

@@ -253,6 +253,8 @@ def _cmd_adt(args) -> dict:
         m1, m2, n1, n2 = (int(x) for x in args.params.split(","))
     except ValueError as exc:
         raise TincellError(f"bad --params {args.params!r}: {exc}") from exc
+    if args.trials < 0:
+        raise TincellError(f"--trials must be nonnegative, got {args.trials}")
     params = AdtParams(m1, m2, n1, n2)
     rng = np.random.default_rng(args.seed)
     dists = [AdtDistribution.uniform(params.q)]
@@ -337,7 +339,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.fn(args)
-    except (TincellError, ValueError) as exc:
+    except (TincellError, ValueError, ArithmeticError) as exc:
         _emit({
             "version": __version__,
             "error": {"type": type(exc).__name__, "message": str(exc)},

@@ -47,10 +47,6 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def _fraction_to_json_number(x: Fraction) -> float:
-    return float(x)
-
-
 def _fraction_to_text(x: Fraction) -> str:
     """Exact decimal text for terminating fractions, shortest float repr otherwise."""
     den = x.denominator
@@ -158,6 +154,11 @@ class CanonicalizationRecord:
                 raise ValueError(f"not a permutation: {m}")
 
 
+def _is_int(x) -> bool:
+    """JSON integer check; bool is a subclass of int, so exclude it."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_network(text: str) -> ChannelStrengths:
     """Parse a JSON network description into a :class:`ChannelStrengths`.
 
@@ -176,7 +177,7 @@ def parse_network(text: str) -> ChannelStrengths:
     K = doc["K"]
     L = doc["L"]
     alpha = doc["alpha"]
-    if not isinstance(K, int) or not isinstance(L, list) or not all(isinstance(x, int) for x in L):
+    if not _is_int(K) or not isinstance(L, list) or not all(_is_int(x) for x in L):
         raise NetworkFormatError("K must be an integer and L a list of integers")
     if not isinstance(alpha, list):
         raise NetworkFormatError("alpha must be a nested list")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -92,8 +93,8 @@ def test_entropy_requires_normalized():
 # --- information identities ---------------------------------------------------
 
 
-def joint_mi_brute_force(params, dist, receiver):
-    """Slow, fully independent MI computation straight from the joint."""
+def joint_entropies_brute_force(params, dist, receiver):
+    """Slow, fully independent (H(y), H(y | x1)) straight from the joint."""
     q = params.q
     size = 1 << q
     marg = np.zeros(size)
@@ -108,7 +109,12 @@ def joint_mi_brute_force(params, dist, receiver):
             cond[y] += dist.p2[v2]
         marg += dist.p1[v1] * cond
         cond_H += dist.p1[v1] * tc.entropy(cond)
-    return tc.entropy(marg) - cond_H
+    return tc.entropy(marg), cond_H
+
+
+def joint_mi_brute_force(params, dist, receiver):
+    h_y, h_cond = joint_entropies_brute_force(params, dist, receiver)
+    return h_y - h_cond
 
 
 def test_mi_matches_joint_brute_force():
@@ -235,3 +241,107 @@ def test_less_noisy_sweep_all_params_up_to_q6():
             for _ in range(5)
         ]
         assert tc.check_less_noisy(params, dists).passed, params
+
+
+# --- batched checks against the joint enumeration -------------------------------
+
+
+def _brute_slack(params, dist, mode):
+    (ha, ca), (hb, cb) = (joint_entropies_brute_force(params, dist, r) for r in "ab")
+    if mode == "lessnoisy":
+        return (hb - cb) - (ha - ca)
+    return (params.m2 - params.n2) - (ha - hb)
+
+
+@pytest.mark.parametrize("mode", ["lessnoisy", "entropydiff"])
+def test_batched_slacks_match_joint_brute_force(mode):
+    check = tc.check_less_noisy if mode == "lessnoisy" else tc.check_entropy_diff
+    rng = np.random.default_rng(12)
+    for params in regime_params(4, mode):
+        q, size = params.q, 1 << params.q
+        dists = random_product_dists(q, 2, rng) + random_table_dists(q, 2, rng)
+        dists.append(AdtDistribution.point(q, int(rng.integers(size)), int(rng.integers(size))))
+        slow = [_brute_slack(params, d, mode) for d in dists]
+        report = check(params, dists)
+        assert report.n_dists == len(dists)
+        assert report.min_slack == pytest.approx(min(slow), abs=1e-9), params
+        assert slow[report.worst_index] == pytest.approx(min(slow), abs=1e-9), params
+        for dist, slack in zip(dists, slow):
+            assert check(params, [dist]).min_slack == pytest.approx(slack, abs=1e-9), params
+
+
+def _laws_digest(dists):
+    return hashlib.sha256(repr([(d.p1, d.p2) for d in dists]).encode()).hexdigest()
+
+
+# Digests of the laws drawn by the earlier per-distribution generators: two
+# rng.uniform(size=q) draws per distribution expanded level by level with
+# np.kron, and two rng.dirichlet(np.ones(2^q)) draws per distribution.
+PRODUCT_DIGESTS = {
+    (1, 7, 0): "be82b0b1cc149ca99c96b4a19d296acb97a1a0d0108c12c1e09dcdd8af016fd5",
+    (4, 50, 1): "2d92f0a8dc9e6acee39fe49868b6e90d19e1e420b5c05ae07e173c0b35e4f020",
+    (6, 20, 2): "1c45c5114dcc6062f3ec637366ceaf677f6f86584128a37a06186f3d5e6b3b0b",
+    (8, 5, 3): "44c7650a06e15179424b5948a8a0322691562cfdb7d24a3f9f922c80e3a3b6f2",
+}
+TABLE_DIGESTS = {
+    (1, 7, 0): "fb12a06c9ae21345cac2e0af7b51682dad2aa0b4bf137e390d8ff5fef3aeab21",
+    (4, 30, 1): "0632f118a35c421a04a7dcc7bb6aae503c51ff9c145d97e6c548b26a323bfea1",
+    (6, 10, 2): "94a30678a9da575ddf44af436906e16aeebc85d8790a671b02671e0744319777",
+    (8, 3, 3): "c1246f69791d56cbfdf501ed2b62ece0b0fd493967c8e13af53f12dddafdbca2",
+}
+
+
+@pytest.mark.parametrize("q, count, seed", sorted(PRODUCT_DIGESTS))
+def test_random_product_dists_are_bit_identical(q, count, seed):
+    dists = random_product_dists(q, count, np.random.default_rng(seed))
+    assert _laws_digest(dists) == PRODUCT_DIGESTS[q, count, seed]
+
+
+@pytest.mark.parametrize("q, count, seed", sorted(TABLE_DIGESTS))
+def test_random_table_dists_are_bit_identical(q, count, seed):
+    dists = random_table_dists(q, count, np.random.default_rng(seed))
+    assert _laws_digest(dists) == TABLE_DIGESTS[q, count, seed]
+
+
+def test_product_bernoulli_matches_batched_draw():
+    rng = np.random.default_rng(13)
+    theta = rng.uniform(size=(2, 5))
+    (drawn,) = random_product_dists(5, 1, np.random.default_rng(13))
+    assert AdtDistribution.product_bernoulli(theta[0].tolist(), theta[1].tolist()) == drawn
+
+
+def test_zero_count_draws_nothing():
+    rng = np.random.default_rng(14)
+    assert random_product_dists(4, 0, rng) == []
+    assert random_table_dists(4, 0, rng) == []
+
+
+def test_worst_index_is_first_minimum():
+    params = AdtParams(3, 1, 4, 1)
+    dists = [
+        AdtDistribution.uniform(4),
+        AdtDistribution.point(4, 5, 0),  # deterministic x1: slack exactly 0
+        AdtDistribution.point(4, 9, 3),
+        AdtDistribution.point(4, 5, 0),
+    ]
+    report = tc.check_less_noisy(params, dists)
+    assert (report.min_slack, report.worst_index) == (0.0, 1)
+    points = [AdtDistribution.point(4, v, 2 * v) for v in (1, 4, 7)]
+    report = tc.check_entropy_diff(AdtParams(4, 2, 4, 1), points)
+    assert (report.min_slack, report.worst_index) == (1.0, 0)
+
+
+@pytest.mark.parametrize("check, params", [
+    (tc.check_less_noisy, AdtParams(3, 1, 4, 1)),
+    (tc.check_entropy_diff, AdtParams(4, 2, 4, 1)),
+])
+def test_empty_batch_reports_inf_and_no_index(check, params):
+    report = check(params, [])
+    assert report.min_slack == float("inf")
+    assert report.worst_index is None
+    assert report.n_dists == 0 and report.passed
+
+
+def test_distribution_q_must_match_params():
+    with pytest.raises(ValueError):
+        tc.check_less_noisy(AdtParams(3, 1, 4, 1), [AdtDistribution.uniform(3)])

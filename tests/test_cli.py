@@ -164,6 +164,41 @@ def test_adt(capsys):
     assert doc["min_slack"] >= -1e-9
 
 
+def test_adt_zero_trials_checks_uniform_law_only(capsys):
+    code, doc = invoke_json(capsys, "adt", "--params", "3,1,4,1", "--trials", "0")
+    assert code == 0
+    assert doc["trials"] == 0
+    assert doc["min_slack"] == pytest.approx(1.0)  # I(x1; yb) - I(x1; ya) = 4 - 3 bits
+    assert doc["worst_case_dist"]["p1"] == [1 / 16] * 16
+
+
+def test_adt_negative_trials_is_domain_error(capsys):
+    code, doc = invoke_json(capsys, "adt", "--params", "3,1,4,1", "--trials", "-1")
+    assert code == 1
+    assert doc["error"]["type"] == "TincellError"
+    assert "--trials" in doc["error"]["message"]
+
+
+def test_rates_overflow_is_domain_error(capsys, tmp_path):
+    net = tmp_path / "strong.json"
+    net.write_text('{"K": 1, "L": [1], "alpha": [[[30]]]}')
+    strategy = tmp_path / "one.json"
+    strategy.write_text('{"side": "ibc", "order": [[1]], "r": [[0]]}')
+    code, doc = invoke_json(
+        capsys, "rates", "--net", str(net), "--strategy", str(strategy), "--pnominal", "1e12",
+    )
+    assert code == 1
+    assert doc["error"]["type"] == "OverflowError"
+
+
+def test_boolean_dimensions_are_domain_error(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text('{"K": true, "L": [1], "alpha": [[[1.0]]]}')
+    code, doc = invoke_json(capsys, "validate", "--net", str(path))
+    assert code == 1
+    assert doc["error"]["type"] == "NetworkFormatError"
+
+
 def test_reports_are_reproducible(capsys, net_file):
     _, first = invoke(capsys, "classify", "--net", net_file)
     _, second = invoke(capsys, "classify", "--net", net_file)

@@ -39,6 +39,9 @@ def test_parse_net_a_fixture(net_a):
         ('{"K": 1, "L": [2], "alpha": [[[1.0]]]}', "rows"),
         ('{"K": 1, "L": [1], "alpha": [[[1.0, 2.0]]]}', "length"),
         ('{"K": 1, "L": [1], "alpha": [[["x"]]]}', "non-numeric"),
+        ('{"K": true, "L": [1], "alpha": [[[1.0]]]}', "K must be an integer"),
+        ('{"K": 1, "L": [true], "alpha": [[[1.0]]]}', "L a list of integers"),
+        ('{"K": 1, "L": [1], "alpha": [[[true]]]}', "non-numeric"),
     ],
 )
 def test_parse_rejects_malformed(text, match):
