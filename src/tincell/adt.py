@@ -121,7 +121,8 @@ class AdtDistribution:
             n = len(p)
             if n == 0 or n & (n - 1):
                 raise ValueError(f"{name} must have length 2^q")
-            if min(p) < 0 or abs(sum(p) - 1.0) > 1e-12:
+            # negated so that a NaN or infinite mass, whose sum is not finite, fails too
+            if min(p) < 0 or not abs(sum(p) - 1.0) <= 1e-12:
                 raise ValueError(f"{name} must be a probability vector (sum within 1e-12 of 1)")
         if len(self.p1) != len(self.p2):
             raise ValueError("marginals must share the same q")

@@ -7,8 +7,14 @@ grid levels are rescaled to a common integer lattice, so bound arithmetic
 (max / min / add / clip) stays exact while running as vectorized int64
 numpy; float mode runs the same code on float64 with dedup at 1e-12.
 
-Exponents below ``max strength`` are indistinguishable from SILENT in
-every bound, so the default depth ``max strength + 1`` loses nothing.
+An exponent below ``-max strength`` is clipped to 0 by every bound's
+positive part, exactly like SILENT, so the default depth
+``max strength + 1`` loses nothing.  The lattice folds all such levels
+into its single SILENT level (in exact mode ``-(max scaled strength + 1)``,
+below every kept level), and they are never enumerated; the strategy
+count and the budget check still count the caller's grid, and the
+returned points are the same.  Each chunk of bounds is deduplicated by a
+lexsort and an adjacent-row compare before it joins the point set.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from .network import ChannelStrengths, as_fraction
 
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 20
-_INT_SENTINEL = -(1 << 40)  # stands in for -inf on the integer lattice
 _MAX_DENOMINATOR = 10**7
 
 
@@ -77,6 +82,7 @@ class _Lattice:
         self.flat = {}  # (cell, slot) -> column index
         for idx, u in enumerate(net.users()):
             self.flat[(u.cell, u.slot)] = idx
+        q = int(grid.depth / grid.step)
         if mode == "exact":
             denoms = [a.denominator for cell in net.alpha for row in cell for a in row]
             denoms.append(grid.step.denominator)
@@ -92,23 +98,21 @@ class _Lattice:
             self.alpha = [
                 [[int(a * D) for a in row] for row in cell] for cell in net.alpha
             ]
-            step_i = int(grid.step * D)
-            q = int(grid.depth / grid.step)
-            self.levels = np.concatenate(
-                [(-step_i) * np.arange(q + 1, dtype=np.int64), [_INT_SENTINEL]]
-            )
-            self.neg = _INT_SENTINEL
+            # largest strength, which also caps every bound
+            self.top = max(a for cell in self.alpha for row in cell for a in row)
+            levels = (-int(grid.step * D)) * np.arange(q + 1, dtype=np.int64)
+            self.neg = -(self.top + 1)  # SILENT: below every kept level
             self.dtype = np.int64
         else:
             self.scale = None
             self.alpha = net.floats()
-            step_f = float(grid.step)
-            q = int(grid.depth / grid.step)
-            self.levels = np.concatenate(
-                [(-step_f) * np.arange(q + 1, dtype=np.float64), [-np.inf]]
-            )
+            self.top = max(a for cell in self.alpha for row in cell for a in row)
+            levels = (-float(grid.step)) * np.arange(q + 1, dtype=np.float64)
             self.neg = -np.inf
             self.dtype = np.float64
+        # A level with top + r < 0 is clipped to 0 by every max(0, .) in both
+        # kernels, exactly like SILENT, so all such levels fold into SILENT.
+        self.levels = np.append(levels[self.top + levels >= 0], self.neg)
 
     def iter_r_chunks(self, chunk_rows: int = _CHUNK):
         """Yield (rows, n) arrays covering the full exponent mesh in order."""
@@ -226,11 +230,19 @@ def grid_achievable_points(
         scale = lat.scale
         if mode == "float":
             b = np.round(b / 1e-12) * 1e-12
-        for row in np.unique(b, axis=0):
-            points.add(tuple(row.tolist()))
+        points.update(map(tuple, _distinct_rows(b).tolist()))
     if mode == "exact":
-        return {tuple(Fraction(int(v), scale) for v in p) for p in points}
-    return {tuple(float(v) for v in p) for p in points}
+        frac = {v: Fraction(v, scale) for v in {v for p in points for v in p}}
+        return {tuple(frac[v] for v in p) for p in points}
+    return points
+
+
+def _distinct_rows(b: np.ndarray) -> np.ndarray:
+    """Distinct rows of ``b``: one lexsort, then drop rows equal to their predecessor."""
+    b = b[np.lexsort(b.T)]
+    keep = np.ones(len(b), dtype=bool)
+    keep[1:] = np.any(b[1:] != b[:-1], axis=1)
+    return b[keep]
 
 
 def oracle_achievable(
@@ -276,21 +288,20 @@ def oracle_max_sum(
     if len(w) != net.n_users:
         raise ValueError(f"{len(w)} weights for {net.n_users} users")
     best = None
-    w_int = None
-    w_den = None
+    weights = None
     for lat, b in _iter_bounds(net, side, grid, mode, budget):
-        if mode == "exact":
-            if w_int is None:
+        if weights is None:
+            if mode == "exact":
                 wf = [as_fraction(x) for x in w]
-                w_den = 1
-                for x in wf:
-                    w_den = w_den * x.denominator // math.gcd(w_den, x.denominator)
-                w_int = np.array([int(x * w_den) for x in wf], dtype=np.int64)
-            vals = b @ w_int
-        else:
-            if w_int is None:
-                w_int = np.asarray([float(x) for x in w])
-            vals = b @ w_int
+                w_den = math.lcm(*(x.denominator for x in wf))
+                w_int = [int(x * w_den) for x in wf]
+                # every bound is at most the largest scaled strength; a weighted
+                # sum that could leave int64 is evaluated on Python ints
+                big = lat.top * sum(abs(x) for x in w_int) >= 2**63
+                weights = np.array(w_int, dtype=object if big else np.int64)
+            else:
+                weights = np.asarray([float(x) for x in w])
+        vals = b @ weights
         top = vals.max()
         if best is None or top > best:
             best = top

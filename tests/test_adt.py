@@ -342,6 +342,14 @@ def test_empty_batch_reports_inf_and_no_index(check, params):
     assert report.n_dists == 0 and report.passed
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_distribution_rejects_non_finite_mass(bad):
+    with pytest.raises(ValueError):
+        AdtDistribution((bad, 0.5, 0.5, 0.0), (0.25,) * 4)
+    with pytest.raises(ValueError):
+        AdtDistribution((0.25,) * 4, (0.5, bad, 0.5, 0.0))
+
+
 def test_distribution_q_must_match_params():
     with pytest.raises(ValueError):
         tc.check_less_noisy(AdtParams(3, 1, 4, 1), [AdtDistribution.uniform(3)])

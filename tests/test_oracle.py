@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 
 import tincell as tc
 from tincell.oracle import GridSpec, _Lattice, default_grid, strategy_count
-from tincell.strategies import SILENT
+from tincell.strategies import SILENT, DecodingOrder, PowerAllocation
 
 from conftest import mknet
 
@@ -147,9 +148,65 @@ def test_vectorized_bounds_match_scalar_evaluation():
                 row = []
                 for u in net.users():
                     x = s.power.of(u.cell, u.slot)
-                    row.append(-(1 << 40) if x is SILENT else int(x * lat.scale))
+                    row.append(lat.neg if x is SILENT else int(x * lat.scale))
                 R = np.array([row], dtype=np.int64)
                 got = lat.bounds(side, tuple(s.order.pi), R)[0]
                 fn = tc.gdof_bounds_ibc if side == "ibc" else tc.gdof_bounds_imac
                 want = fn(net, s.order, s.power)
                 assert [Fraction(int(v), lat.scale) for v in got] == list(want)
+
+
+def test_exact_points_survive_strengths_past_2_pow_40():
+    # scaled by 10^7 the strength exceeds 2^40; SILENT must stay below every level
+    net = mknet([[[300000.0000001]]])
+    grid = GridSpec(step=Fraction(100000), depth=Fraction(300001))
+    exact = tc.grid_achievable_points(net, "ibc", grid, mode="exact")
+    approx = tc.grid_achievable_points(net, "ibc", grid, mode="float")
+    assert (Fraction(3000000000001, 10**7),) in exact
+    assert (300000.0000001,) in approx
+    assert len(exact) == len(approx)
+    for e, f in zip(sorted(exact), sorted(approx)):
+        assert float(e[0]) == pytest.approx(f[0], abs=1e-9)
+
+
+def test_exact_max_sum_does_not_wrap_int64():
+    # 10^13 + 1 on the lattice times weight 10^6 is past 2^63
+    net = mknet([[[1000000.0000001]]])
+    grid = GridSpec(step=Fraction(10**6), depth=Fraction(10**6))
+    best = tc.oracle_max_sum(net, "ibc", [10**6], grid, mode="exact")
+    assert best == Fraction(10**12) + Fraction(1, 10)
+    approx = tc.oracle_max_sum(net, "ibc", [10**6], grid, mode="float")
+    assert approx == pytest.approx(1e12)
+
+
+def _scalar_grid_points(net, side, grid):
+    """Bounds of every (order, grid power) strategy, evaluated one by one."""
+    q = int(grid.depth / grid.step)
+    levels = [-k * grid.step for k in range(q + 1)] + [SILENT]
+    pools = [sorted(itertools.permutations(range(1, lk + 1))) for lk in net.L]
+    fn = tc.gdof_bounds_ibc if side == "ibc" else tc.gdof_bounds_imac
+    points = set()
+    for pi in itertools.product(*pools):
+        order = DecodingOrder(tuple(pi))
+        for flat in itertools.product(levels, repeat=net.n_users):
+            it = iter(flat)
+            power = PowerAllocation(tuple(tuple(next(it) for _ in range(lk)) for lk in net.L))
+            points.add(tuple(fn(net, order, power)))
+    return points
+
+
+@pytest.mark.parametrize("rows", [
+    [[[0.6, 0.2], [1.0, 0.1]], [[0.3, 1.0]]],
+    [[[0.5, 0.25, 0.0]], [[0.25, 0.75, 0.5]], [[0.0, 0.5, 1.0]]],
+])
+def test_exact_points_match_per_strategy_evaluation(rows):
+    # depth well past the largest strength, so the lattice folds levels into SILENT
+    net = mknet(rows)
+    grid = GridSpec(step=Fraction(1, 4), depth=Fraction(2))
+    assert grid.depth > net.max_strength() + grid.step
+    for side in ("ibc", "imac"):
+        want = _scalar_grid_points(net, side, grid)
+        assert tc.grid_achievable_points(net, side, grid, mode="exact") == want
+        w = list(range(1, net.n_users + 1))
+        best = max(sum(wi * x for wi, x in zip(w, p)) for p in want)
+        assert tc.oracle_max_sum(net, side, w, grid, mode="exact") == best
