@@ -25,14 +25,16 @@ from .strategies import (
 )
 
 
-def _nest_per_cell(net: ChannelStrengths, flat):
-    """Reshape a canonical per-user tuple into per-cell rows."""
+def _negated_gamma(power: PowerAllocation, gamma: tuple) -> PowerAllocation:
+    """Per-user ``-gamma`` nested per cell, with SILENT users kept SILENT."""
     rows = []
     i = 0
-    for lk in net.L:
-        rows.append(tuple(flat[i:i + lk]))
-        i += lk
-    return tuple(rows)
+    for cell in power.r:
+        rows.append(tuple(
+            SILENT if x is SILENT else -g for x, g in zip(cell, gamma[i:i + len(cell)])
+        ))
+        i += len(cell)
+    return PowerAllocation(tuple(rows))
 
 
 def dualize_ibc_to_imac(
@@ -44,15 +46,7 @@ def dualize_ibc_to_imac(
     feasible (``<= 0``) because effective interference levels are
     nonnegative.
     """
-    check_dimensions(net, order, power)
-    gam = _nest_per_cell(net, gamma_ibc(net, order, power))
-    rows = []
-    for k0 in range(net.K):
-        rows.append(tuple(
-            SILENT if power.r[k0][l0] is SILENT else -gam[k0][l0]
-            for l0 in range(net.L[k0])
-        ))
-    return PowerAllocation(tuple(rows))
+    return _negated_gamma(power, gamma_ibc(net, order, power))
 
 
 def dualize_imac_to_ibc(
@@ -71,17 +65,9 @@ def dualize_imac_to_ibc(
     deterministic and idempotent).  Pass ``normalize=False`` to dualize the
     raw strategy as-is.
     """
-    check_dimensions(net, order, power)
     if normalize and not satisfies_received_power_order(net, order, power):
         order, power = normalize_imac_strategy(net, order, power)
-    gam = _nest_per_cell(net, gamma_imac(net, order, power))
-    rows = []
-    for k0 in range(net.K):
-        rows.append(tuple(
-            SILENT if power.r[k0][l0] is SILENT else -gam[k0][l0]
-            for l0 in range(net.L[k0])
-        ))
-    return PowerAllocation(tuple(rows))
+    return _negated_gamma(power, gamma_imac(net, order, power))
 
 
 def satisfies_received_power_order(
@@ -166,16 +152,14 @@ class DualizationReport:
 
 def dualize(net: ChannelStrengths, strategy: Strategy) -> DualizationReport:
     """Dualize a full strategy to the other side and report the details."""
-    if strategy.side == "ibc":
-        gam = gamma_ibc(net, strategy.order, strategy.power)
-        out_power = dualize_ibc_to_imac(net, strategy.order, strategy.power)
-        out = Strategy(side="imac", order=strategy.order, power=out_power)
-        return DualizationReport("ibc_to_imac", strategy, out, gam)
     order, power = strategy.order, strategy.power
+    if strategy.side == "ibc":
+        gam = gamma_ibc(net, order, power)
+        out = Strategy(side="imac", order=order, power=_negated_gamma(power, gam))
+        return DualizationReport("ibc_to_imac", strategy, out, gam)
     if not satisfies_received_power_order(net, order, power):
         order, power = normalize_imac_strategy(net, order, power)
     gam = gamma_imac(net, order, power)
-    out_power = dualize_imac_to_ibc(net, order, power, normalize=False)
     normalized_input = Strategy(side="imac", order=order, power=power)
-    out = Strategy(side="ibc", order=order, power=out_power)
+    out = Strategy(side="ibc", order=order, power=_negated_gamma(power, gam))
     return DualizationReport("imac_to_ibc", normalized_input, out, gam)

@@ -379,34 +379,16 @@ def implied_conditions_hold(net: ChannelStrengths, label: RegimeLabel) -> bool:
 def outer_bound_region(net: ChannelStrengths) -> PolyhedralRegion:
     """GDoF-scale converse region, valid when the strict regime conditions hold.
 
-    Built directly from the converse statement: per-cell prefix bounds plus
-    cyclic bounds over all cell sequences with wrap-around predecessors.  It
-    must coincide, constraint for constraint, with the identity-order
-    full-participation achievable region.
+    In that regime the converse's per-cell prefix bounds and cyclic bounds
+    over all cell sequences (with wrap-around predecessors) are exactly the
+    constraints of the identity-order, full-participation achievable
+    region, so the region is built by :func:`polyhedral_region` on that
+    order and subnetwork.
     """
     if classify_regime(net) is not RegimeLabel.TIN:
         raise PreconditionError("outer bound is only claimed in the TIN regime")
-    users = net.users()
-    constraints = []
-    for i in range(1, net.K + 1):
-        for l in range(1, net.L[i - 1] + 1):
-            group = frozenset(UserId(i, s) for s in range(1, l + 1))
-            constraints.append(LinearConstraint(group, net.direct(i, l)))
-    if net.K >= 2:
-        for seq in cyclic_sequences(range(1, net.K + 1)):
-            m = len(seq)
-            if m < 2:
-                continue
-            for lengths in itertools.product(*(range(1, net.L[i - 1] + 1) for i in seq)):
-                group = set()
-                bound = Fraction(0)
-                for j, i in enumerate(seq):
-                    prev = seq[j - 1]
-                    l_i = lengths[j]
-                    group.update(UserId(i, s) for s in range(1, l_i + 1))
-                    bound += net.direct(i, l_i) - net.strength(i, l_i, prev)
-                constraints.append(LinearConstraint(frozenset(group), bound))
-    return PolyhedralRegion(users=users, zero=frozenset(), constraints=tuple(constraints))
+    full = Subnetwork.full(net)
+    return polyhedral_region(net, identity_suborder(full), full)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, NetworkFormatError
-from .network import ChannelStrengths, as_fraction
+from .network import ChannelStrengths, _is_int, as_fraction
 
 #: Sentinel for a user that transmits nothing / is allocated no power.
 SILENT = None
@@ -113,18 +113,6 @@ def check_dimensions(net: ChannelStrengths, order: DecodingOrder, power: PowerAl
         raise DimensionMismatchError(f"power shape {[len(c) for c in power.r]} != L {list(net.L)}")
 
 
-def _cell_max_power(power: PowerAllocation):
-    """Per-cell max transmit exponent over non-silent users (-inf if none)."""
-    out = []
-    for cell in power.r:
-        best = NEG_INF
-        for x in cell:
-            if x is not SILENT and x > best:
-                best = x
-        out.append(best)
-    return out
-
-
 def _cross_interference(net: ChannelStrengths, power: PowerAllocation, k0: int, obs_slot: int):
     """max over out-of-cell users (l_j, j) of alpha_kj[obs] + r_j[l_j] (downlink)."""
     best = NEG_INF
@@ -148,26 +136,26 @@ def gamma_ibc(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocatio
     not-yet-cancelled same-cell powers and, over every same-cell observer at
     positions ``m >= l``, the clipped out-of-cell interference seen by that
     observer relative to its direct link.  Always nonnegative.
+
+    One reverse pass per cell keeps both maxima over later positions, so
+    each observer's out-of-cell interference is computed once.
     """
     check_dimensions(net, order, power)
     out = []
-    for k in range(1, net.K + 1):
-        perm = order.pi[k - 1]
-        Lk = len(perm)
-        per_slot = [None] * Lk
-        for l in range(1, Lk + 1):
-            u = perm[l - 1]
-            later = [power.of(k, perm[j - 1]) for j in range(l + 1, Lk + 1)]
-            a_term = max((x for x in later if x is not SILENT), default=NEG_INF)
-            m_term = NEG_INF
-            for m in range(l, Lk + 1):
-                obs = perm[m - 1]
-                cross = _cross_interference(net, power, k - 1, obs)
-                v = max(0, cross) - net.direct(k, obs)
-                if v > m_term:
-                    m_term = v
-            g = net.direct(k, u) + max(a_term, m_term)
-            per_slot[u - 1] = g
+    for k0, perm in enumerate(order.pi):
+        rows, r = net.alpha[k0], power.r[k0]
+        per_slot = [None] * len(perm)
+        later = NEG_INF  # max exponent decoded after the current position
+        seen = NEG_INF  # max over observers at or after it of (cross)^+ - direct
+        for u in reversed(perm):
+            direct = rows[u - 1][k0]
+            v = max(0, _cross_interference(net, power, k0, u)) - direct
+            if v > seen:
+                seen = v
+            per_slot[u - 1] = direct + max(later, seen)
+            x = r[u - 1]
+            if x is not SILENT and x > later:
+                later = x
         out.extend(per_slot)
     assert all(g >= 0 for g in out)
     return tuple(out)
@@ -178,113 +166,70 @@ def gamma_imac(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocati
 
     At the base station of cell ``k`` decoding position ``l``, the residual
     interference consists of same-cell users at earlier positions (decoded
-    later) plus every out-of-cell user, clipped at the noise floor.
+    later) plus every out-of-cell user, clipped at the noise floor.  One
+    forward pass per cell keeps that maximum running.
     """
     check_dimensions(net, order, power)
     out = []
-    for k in range(1, net.K + 1):
-        perm = order.pi[k - 1]
-        Lk = len(perm)
+    for k0, perm in enumerate(order.pi):
         inter = NEG_INF
-        for j in range(1, net.K + 1):
-            if j == k:
+        for j0, cell in enumerate(power.r):
+            if j0 == k0:
                 continue
-            for lj in range(1, net.L[j - 1] + 1):
-                x = power.of(j, lj)
-                if x is SILENT:
-                    continue
-                v = net.strength(j, lj, k) + x
-                if v > inter:
-                    inter = v
-        per_slot = [None] * Lk
-        for l in range(1, Lk + 1):
-            u = perm[l - 1]
-            intra = NEG_INF
-            for j in range(1, l):
-                s = perm[j - 1]
-                x = power.of(k, s)
-                if x is SILENT:
-                    continue
-                v = net.direct(k, s) + x
-                if v > intra:
-                    intra = v
-            per_slot[u - 1] = max(0, intra, inter)
+            rows = net.alpha[j0]
+            for lj, x in enumerate(cell):
+                if x is not SILENT:
+                    v = rows[lj][k0] + x
+                    if v > inter:
+                        inter = v
+        rows, r = net.alpha[k0], power.r[k0]
+        per_slot = [None] * len(perm)
+        level = max(0, inter)
+        for u in perm:
+            per_slot[u - 1] = level
+            x = r[u - 1]
+            if x is not SILENT:
+                v = rows[u - 1][k0] + x
+                if v > level:
+                    level = v
         out.extend(per_slot)
+    return tuple(out)
+
+
+_ZERO = Fraction(0)
+
+
+def _bounds_from_gamma(net: ChannelStrengths, power: PowerAllocation, gamma: tuple) -> tuple:
+    """``(direct + r - gamma)^+`` per user, 0 for SILENT users."""
+    out = []
+    i = 0
+    for k0, cell in enumerate(power.r):
+        rows = net.alpha[k0]
+        for l0, x in enumerate(cell):
+            if x is SILENT:
+                out.append(_ZERO)
+            else:
+                out.append(max(_ZERO, rows[l0][k0] + x - gamma[i]))
+            i += 1
     return tuple(out)
 
 
 def gdof_bounds_ibc(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocation) -> tuple:
     """Componentwise-largest downlink GDoF tuple achievable with the strategy.
 
-    Evaluated directly as the min over same-cell observers ``m >= l`` of the
-    observer's direct strength plus the user's exponent minus the dominant
-    interference-plus-residual term, clipped at zero.  SILENT users get 0.
+    Each user gets ``(direct + r - gamma)^+`` with ``gamma`` from
+    :func:`gamma_ibc`, which equals the min over same-cell observers
+    ``m >= l`` of the observer's direct strength plus the user's exponent
+    minus the dominant interference-plus-residual term.  SILENT users get 0.
     """
-    check_dimensions(net, order, power)
-    out = []
-    for k in range(1, net.K + 1):
-        perm = order.pi[k - 1]
-        Lk = len(perm)
-        per_slot = [None] * Lk
-        for l in range(1, Lk + 1):
-            u = perm[l - 1]
-            r_u = power.of(k, u)
-            if r_u is SILENT:
-                per_slot[u - 1] = Fraction(0)
-                continue
-            later = [power.of(k, perm[j - 1]) for j in range(l + 1, Lk + 1)]
-            a_term = max((x for x in later if x is not SILENT), default=NEG_INF)
-            best = None
-            for m in range(l, Lk + 1):
-                obs = perm[m - 1]
-                a_obs = net.direct(k, obs)
-                cross = _cross_interference(net, power, k - 1, obs)
-                term = a_obs + r_u - max(0, a_obs + a_term, cross)
-                if best is None or term < best:
-                    best = term
-            per_slot[u - 1] = max(Fraction(0), best)
-        out.extend(per_slot)
-    return tuple(out)
+    return _bounds_from_gamma(net, power, gamma_ibc(net, order, power))
 
 
 def gdof_bounds_imac(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocation) -> tuple:
-    """Componentwise-largest uplink GDoF tuple achievable with the strategy."""
-    check_dimensions(net, order, power)
-    out = []
-    for k in range(1, net.K + 1):
-        perm = order.pi[k - 1]
-        Lk = len(perm)
-        inter = NEG_INF
-        for j in range(1, net.K + 1):
-            if j == k:
-                continue
-            for lj in range(1, net.L[j - 1] + 1):
-                x = power.of(j, lj)
-                if x is SILENT:
-                    continue
-                v = net.strength(j, lj, k) + x
-                if v > inter:
-                    inter = v
-        per_slot = [None] * Lk
-        for l in range(1, Lk + 1):
-            u = perm[l - 1]
-            r_u = power.of(k, u)
-            if r_u is SILENT:
-                per_slot[u - 1] = Fraction(0)
-                continue
-            intra = NEG_INF
-            for j in range(1, l):
-                s = perm[j - 1]
-                x = power.of(k, s)
-                if x is SILENT:
-                    continue
-                v = net.direct(k, s) + x
-                if v > intra:
-                    intra = v
-            d = net.direct(k, u) + r_u - max(0, intra, inter)
-            per_slot[u - 1] = max(Fraction(0), d)
-        out.extend(per_slot)
-    return tuple(out)
+    """Componentwise-largest uplink GDoF tuple achievable with the strategy:
+    ``(direct + r - gamma)^+`` with ``gamma`` from :func:`gamma_imac`, and 0
+    for SILENT users."""
+    return _bounds_from_gamma(net, power, gamma_imac(net, order, power))
 
 
 def gdof_bounds(net: ChannelStrengths, strategy: Strategy) -> tuple:
@@ -363,17 +308,23 @@ def parse_strategy(text: str, net: ChannelStrengths) -> Strategy:
     side = doc["side"]
     if side not in ("ibc", "imac"):
         raise NetworkFormatError(f'side must be "ibc" or "imac", got {side!r}')
+    perms, cells = doc["order"], doc["r"]
+    for key, value in (("order", perms), ("r", cells)):
+        if not isinstance(value, list) or not all(isinstance(cell, list) for cell in value):
+            raise NetworkFormatError(f'"{key}" must be a list of per-cell lists')
+    if not all(_is_int(x) for perm in perms for x in perm):
+        raise NetworkFormatError("decoding order entries must be integers")
     try:
-        order = DecodingOrder(tuple(tuple(int(x) for x in perm) for perm in doc["order"]))
-    except (TypeError, ValueError) as exc:
+        order = DecodingOrder(tuple(tuple(perm) for perm in perms))
+    except ValueError as exc:
         raise NetworkFormatError(f"bad decoding order: {exc}") from exc
     rows = []
-    for cell in doc["r"]:
+    for cell in cells:
         row = []
         for x in cell:
             if x == "off":
                 row.append(SILENT)
-            elif isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+            elif _is_int(x) or isinstance(x, Fraction):
                 row.append(as_fraction(x))
             else:
                 raise NetworkFormatError(f'power entry must be a number or "off", got {x!r}')

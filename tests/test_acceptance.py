@@ -184,8 +184,13 @@ def test_c06_convex_regime_collapse():
 
 
 def test_c07_outer_bound_identity():
+    # the outer bound is built by the achievable-region builder, so the
+    # constraint-set comparison alone is not a cross-check; two partners
+    # that never call polyhedral_region back it up
     rng = random.Random(107)
     mismatches = 0
+    converse_checks = 0
+    converse_violations = 0
     for _ in range(200):
         K, L = random_dims(rng)
         net = sample_tin_network(rng, K, L)
@@ -194,8 +199,40 @@ def test_c07_outer_bound_identity():
         inner = tc.polyhedral_region(net, tc.identity_suborder(full), full)
         if outer.constraint_set() != inner.constraint_set():
             mismatches += 1
-    _verdict(7, "converse constraints match achievable hull", mismatches == 0,
-             f"200 networks, {mismatches} mismatches")
+        # converse: every strategy's bounds lie inside the outer bound
+        for side in ("ibc", "imac"):
+            for _ in range(5):
+                s = random_strategy(rng, net, side)
+                converse_checks += 1
+                if not tc.contains(outer, tc.gdof_bounds(net, s)):
+                    converse_violations += 1
+    # tightness: the outer bound's weighted-sum maximum exceeds the exact
+    # grid oracle's by at most the c05 tolerance per unit weight
+    worst = Fraction(0)
+    oracle_above = 0
+    comparisons = 0
+    for L in ([2, 1], [1, 2], [1, 1], [1, 1, 1]):
+        for _ in range(5):
+            net = sample_tin_network(rng, len(L), L)
+            outer = tc.outer_bound_region(net)
+            grid = tc.GridSpec(Fraction(1, 20), net.max_strength() + 1)
+            n = net.n_users
+            weights = [[1] * n] + [[rng.randint(0, 3) for _ in range(n)] for _ in range(3)]
+            for w in weights:
+                if not any(w):
+                    w[0] = 1
+                lp, _ = tc.max_weighted_sum(outer, w)
+                for side in ("ibc", "imac"):
+                    gap = (lp - tc.oracle_max_sum(net, side, w, grid, mode="exact")) / max(w)
+                    comparisons += 1
+                    oracle_above += gap < 0
+                    worst = max(worst, gap)
+    _verdict(7, "converse constraints match achievable hull",
+             mismatches == 0 and converse_violations == 0 and oracle_above == 0
+             and worst <= Fraction(1, 5),
+             f"200 networks, {mismatches} mismatches; {converse_checks} strategies, "
+             f"{converse_violations} outside; {comparisons} max-sums, {oracle_above} "
+             f"above the bound, worst gap {float(worst):.4f} <= 0.2 per unit weight")
 
 
 # --- criterion 8: interference-alignment gain ---------------------------------

@@ -1,6 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tincell.cli import run
 
@@ -223,3 +230,92 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["not-a-verb"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("r", ["5", "[5]", "[[0, 0], 0]", '"off"', "{}"])
+def test_strategy_powers_not_nested_lists_are_domain_error(capsys, tmp_path, net_file, r):
+    path = tmp_path / "bad.json"
+    path.write_text('{"side": "ibc", "order": [[1, 2], [1]], "r": ' + r + "}")
+    code, doc = invoke_json(capsys, "bounds", "--net", net_file, "--strategy", str(path))
+    assert code == 1
+    assert doc["error"]["type"] == "NetworkFormatError"
+
+
+@pytest.mark.parametrize("order", ["5", '["12", "1"]', "[[1.5, 2], [1]]", "[[true, 2], [1]]"])
+def test_strategy_order_not_nested_integers_is_domain_error(capsys, tmp_path, net_file, order):
+    path = tmp_path / "bad.json"
+    path.write_text('{"side": "ibc", "order": ' + order + ', "r": [[0, 0], [0]]}')
+    code, doc = invoke_json(capsys, "dualize", "--net", net_file, "--strategy", str(path))
+    assert code == 1
+    assert doc["error"]["type"] == "NetworkFormatError"
+
+
+# --- fuzzing: malformed documents never escape as a traceback ------------------
+
+_WRONG_VALUES = [None, True, 0, -1, 3, 1.5, -0.5, "x", "off", [], [0], [[0]], {}, {"a": 1}]
+
+
+def _paths(node, path=()):
+    """Every position in a JSON document, the root included."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, path + (i,))
+
+
+@st.composite
+def _mutated(draw, text):
+    """The document with one node given a wrong type or a wrong length."""
+    doc = json.loads(text)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent, node = None, doc
+    for key in path:
+        parent, node = node, node[key]
+    kinds = ["type"] + (["length"] if isinstance(node, (list, dict)) and node else [])
+    if draw(st.sampled_from(kinds)) == "type":
+        new = copy.deepcopy(draw(st.sampled_from(_WRONG_VALUES)))
+    elif isinstance(node, dict):
+        new = dict(node)
+        del new[draw(st.sampled_from(sorted(new)))]
+    elif draw(st.booleans()):
+        new = node[:-1]
+    else:
+        new = node + [copy.deepcopy(node[-1])]
+    if parent is None:
+        return json.dumps(new)
+    parent[path[-1]] = new
+    return json.dumps(doc)
+
+
+_STRAT_IMAC = '{"side": "imac", "order": [[2, 1], [1]], "r": [[-0.5, "off"], [0]]}'
+
+
+@given(
+    st.sampled_from(["classify", "bounds", "dualize"]),
+    st.one_of(_mutated(NET_A), st.just(NET_A)),
+    st.one_of(_mutated(STRAT_IBC), _mutated(_STRAT_IMAC), st.just(STRAT_IBC)),
+)
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz_malformed_documents(verb, net_text, strategy_text):
+    with tempfile.TemporaryDirectory() as tmp:
+        net_path = os.path.join(tmp, "net.json")
+        strategy_path = os.path.join(tmp, "strategy.json")
+        with open(net_path, "w") as fh:
+            fh.write(net_text)
+        with open(strategy_path, "w") as fh:
+            fh.write(strategy_text)
+        argv = [verb, "--net", net_path]
+        if verb != "classify":
+            argv += ["--strategy", strategy_path]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run(argv)
+    doc = json.loads(out.getvalue())
+    if code == 0:
+        assert "error" not in doc and doc["version"]
+    else:
+        assert code == 1
+        assert set(doc["error"]) == {"type", "message"}

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import tincell as tc
+from tincell.oracle import GridSpec, _Lattice
 from tincell.strategies import SILENT
 
 from conftest import mknet, nets_with_strategy
@@ -89,37 +91,35 @@ def test_dimension_mismatch_raises(net_a, bc2):
         tc.gdof_bounds_ibc(net_a, id_order(bc2), powers(bc2, [[0, 0]]))
 
 
-# --- dual-route identity: direct formula vs effective-level form -------------
+# --- two routes: gamma form vs the oracle's min-over-observers kernel ---------
+
+
+def _kernel_bounds(net, side, strategy):
+    """Bounds from the oracle's vectorized min-over-observers kernel, which
+    does not go through gamma, evaluated on a one-row exponent matrix."""
+    lat = _Lattice(net, GridSpec(step=Fraction(1, 20), depth=Fraction(2)), "exact")
+    row = []
+    for u in net.users():
+        x = strategy.power.of(u.cell, u.slot)
+        row.append(lat.neg if x is SILENT else int(x * lat.scale))
+    got = lat.bounds(side, strategy.order.pi, np.array([row], dtype=np.int64))[0]
+    return tuple(Fraction(int(v), lat.scale) for v in got)
 
 
 @given(nets_with_strategy("ibc"))
 @settings(max_examples=120, deadline=None)
 def test_bounds_ibc_equal_gamma_route(net_strategy):
     net, strategy = net_strategy
-    order, power = strategy.order, strategy.power
-    bounds = tc.gdof_bounds_ibc(net, order, power)
-    gamma = tc.gamma_ibc(net, order, power)
-    for i, u in enumerate(net.users()):
-        r = power.of(u.cell, u.slot)
-        if r is SILENT:
-            assert bounds[i] == 0
-        else:
-            assert bounds[i] == max(0, net.direct(u.cell, u.slot) + r - gamma[i])
+    bounds = tc.gdof_bounds_ibc(net, strategy.order, strategy.power)
+    assert bounds == _kernel_bounds(net, "ibc", strategy)
 
 
 @given(nets_with_strategy("imac"))
 @settings(max_examples=120, deadline=None)
 def test_bounds_imac_equal_gamma_route(net_strategy):
     net, strategy = net_strategy
-    order, power = strategy.order, strategy.power
-    bounds = tc.gdof_bounds_imac(net, order, power)
-    gamma = tc.gamma_imac(net, order, power)
-    for i, u in enumerate(net.users()):
-        r = power.of(u.cell, u.slot)
-        if r is SILENT:
-            assert bounds[i] == 0
-        else:
-            assert bounds[i] == max(0, net.direct(u.cell, u.slot) + r - gamma[i])
+    bounds = tc.gdof_bounds_imac(net, strategy.order, strategy.power)
+    assert bounds == _kernel_bounds(net, "imac", strategy)
 
 
 @given(nets_with_strategy("ibc"))
