@@ -29,7 +29,7 @@ from .adt import (
 )
 from .duality import dualize
 from .errors import TincellError
-from .network import ChannelStrengths, parse_network, validate
+from .network import ChannelStrengths, _is_int_lists, parse_network, validate
 from .oracle import GridSpec, grid_achievable_points, oracle_max_sum
 from .regions import (
     Subnetwork,
@@ -101,25 +101,33 @@ class _Inputs:
         return {"version": __version__, "inputs": self.digests, **payload}
 
 
+def _int_lists_from_file(key: str, path: str, inputs: _Inputs) -> tuple[tuple[int, ...], ...]:
+    doc = inputs.json_file(key, path)
+    if not _is_int_lists(doc):
+        raise TincellError(f"bad {key} file: expected a list of per-cell lists of integers")
+    return tuple(tuple(cell) for cell in doc)
+
+
 def _subnet_from_arg(arg: str, net: ChannelStrengths, inputs: _Inputs) -> Subnetwork:
     if arg == "all":
         return Subnetwork.full(net)
-    doc = inputs.json_file("subnet", arg)
+    cells = _int_lists_from_file("subnet", arg, inputs)
     try:
-        return Subnetwork(tuple(tuple(int(s) for s in cell) for cell in doc))
-    except (TypeError, ValueError) as exc:
+        return Subnetwork(cells)
+    except ValueError as exc:
         raise TincellError(f"bad subnet file: {exc}") from exc
 
 
 def _order_from_arg(arg: str, subnet: Subnetwork, inputs: _Inputs) -> dict:
     if arg == "id":
         return identity_suborder(subnet)
-    doc = inputs.json_file("order", arg)
-    try:
-        cells = subnet.cells()
-        return {cells[i]: tuple(int(s) for s in doc[i]) for i in range(len(cells))}
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
-        raise TincellError(f"bad order file: {exc}") from exc
+    perms = _int_lists_from_file("order", arg, inputs)
+    cells = subnet.cells()
+    if len(perms) != len(cells):
+        raise TincellError(
+            f"bad order file: {len(perms)} per-cell lists for {len(cells)} participating cells"
+        )
+    return dict(zip(cells, perms))
 
 
 def _cmd_validate(args) -> dict:

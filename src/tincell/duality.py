@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .network import ChannelStrengths
 from .strategies import (
+    NEG_INF,
     SILENT,
     DecodingOrder,
     PowerAllocation,
@@ -59,15 +60,20 @@ def dualize_imac_to_ibc(
 
     Componentwise ``r = -gamma_bar`` with SILENT preserved.  The inclusion
     is only guaranteed when the uplink strategy satisfies the received-power
-    order, so by default a violating strategy is normalized first; the
-    returned allocation then pairs with the normalized decode order
-    (recover it with :func:`normalize_imac_strategy`, which is
-    deterministic and idempotent).  Pass ``normalize=False`` to dualize the
-    raw strategy as-is.
+    order, so by default the strategy is first normalized with
+    :func:`normalize_imac_strategy` (a no-op when the order holds), and the
+    returned allocation pairs with the normalized decode order.  Pass
+    ``normalize=False`` to dualize the raw strategy as-is.
     """
-    if normalize and not satisfies_received_power_order(net, order, power):
+    if normalize:
         order, power = normalize_imac_strategy(net, order, power)
     return _negated_gamma(power, gamma_imac(net, order, power))
+
+
+def _received_power(net: ChannelStrengths, power: PowerAllocation, k: int, slot: int):
+    """``direct + r`` of user ``slot`` of cell ``k``; ``-inf`` when SILENT."""
+    x = power.of(k, slot)
+    return NEG_INF if x is SILENT else net.direct(k, slot) + x
 
 
 def satisfies_received_power_order(
@@ -76,20 +82,14 @@ def satisfies_received_power_order(
     """True iff received powers are non-decreasing along each decode chain.
 
     The received power of the user at position ``l`` is its direct strength
-    plus its exponent, with SILENT counting as ``-inf`` (so a SILENT user is
-    dominated by everyone and may only sit at the front of the chain once
-    any active user precedes it).  Non-decreasing adjacent pairs are
-    equivalent to the full pairwise condition.
+    plus its exponent, with SILENT counting as ``-inf`` (so SILENT users may
+    only sit at the front of the chain).
     """
     check_dimensions(net, order, power)
-    for k in range(1, net.K + 1):
-        prev = None
-        for slot in order.pi[k - 1]:
-            x = power.of(k, slot)
-            cur = float("-inf") if x is SILENT else net.direct(k, slot) + x
-            if prev is not None and cur < prev:
-                return False
-            prev = cur
+    for k, perm in enumerate(order.pi, start=1):
+        received = [_received_power(net, power, k, slot) for slot in perm]
+        if any(b < a for a, b in zip(received, received[1:])):
+            return False
     return True
 
 
@@ -98,42 +98,35 @@ def normalize_imac_strategy(
 ) -> tuple[DecodingOrder, PowerAllocation]:
     """Rewrite an uplink strategy so the received-power order holds.
 
-    Repeatedly, in each cell, the first adjacent decode-position pair with
-    decreasing received power is fixed by swapping the two users and
-    silencing the demoted one (whose bound was already forced to zero by the
-    stronger user behind it in the chain).  Restricting to adjacent pairs
-    keeps every step harmless: the promoted user sees exactly the
-    interference it saw before, everyone else sees no more, so per-user
-    bounds never decrease.  Cells are processed in index order and positions
-    bottom-up, making the result deterministic.
+    Along each decode chain, a user keeps its power iff it is active and its
+    received power is at least every received power before it; every other
+    user is silenced and moved to the front, and both groups keep their
+    relative order.  This is the fixed point of swapping adjacent pairs with
+    decreasing received power and silencing the demoted user (whose bound
+    the stronger user behind it had already forced to zero).  Each such step
+    is harmless: the promoted user sees exactly the interference it saw
+    before, everyone else sees no more, so per-user bounds never decrease.
+    The result is deterministic and idempotent.
     """
     check_dimensions(net, order, power)
-    pi = [list(p) for p in order.pi]
-    r = [list(c) for c in power.r]
-    total = sum(net.L)
-    max_steps = net.K * total * total + total + 1
-    steps = 0
-    for k in range(1, net.K + 1):
-        perm = pi[k - 1]
-        changed = True
-        while changed:
-            changed = False
-            for pos in range(len(perm) - 1):
-                lo, hi = perm[pos], perm[pos + 1]
-                x_lo, x_hi = r[k - 1][lo - 1], r[k - 1][hi - 1]
-                p_lo = float("-inf") if x_lo is SILENT else net.direct(k, lo) + x_lo
-                p_hi = float("-inf") if x_hi is SILENT else net.direct(k, hi) + x_hi
-                if p_hi < p_lo:
-                    perm[pos], perm[pos + 1] = hi, lo
-                    r[k - 1][hi - 1] = SILENT
-                    changed = True
-                    steps += 1
-                    assert steps <= max_steps, "normalization failed to terminate"
-                    break
-    out_order = DecodingOrder(tuple(tuple(p) for p in pi))
-    out_power = PowerAllocation(tuple(tuple(c) for c in r))
-    assert satisfies_received_power_order(net, out_order, out_power)
-    return out_order, out_power
+    pi, r = [], []
+    for k, perm in enumerate(order.pi, start=1):
+        row = list(power.r[k - 1])
+        silenced, kept = [], []
+        top = NEG_INF
+        for slot in perm:
+            p = _received_power(net, power, k, slot)
+            if row[slot - 1] is not SILENT and p >= top:
+                kept.append(slot)
+                top = p
+            else:
+                silenced.append(slot)
+                row[slot - 1] = SILENT
+        pi.append(tuple(silenced + kept))
+        r.append(tuple(row))
+    out = DecodingOrder(tuple(pi)), PowerAllocation(tuple(r))
+    assert satisfies_received_power_order(net, *out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -157,9 +150,7 @@ def dualize(net: ChannelStrengths, strategy: Strategy) -> DualizationReport:
         gam = gamma_ibc(net, order, power)
         out = Strategy(side="imac", order=order, power=_negated_gamma(power, gam))
         return DualizationReport("ibc_to_imac", strategy, out, gam)
-    if not satisfies_received_power_order(net, order, power):
-        order, power = normalize_imac_strategy(net, order, power)
+    order, power = normalize_imac_strategy(net, order, power)
     gam = gamma_imac(net, order, power)
-    normalized_input = Strategy(side="imac", order=order, power=power)
     out = Strategy(side="ibc", order=order, power=_negated_gamma(power, gam))
-    return DualizationReport("imac_to_ibc", normalized_input, out, gam)
+    return DualizationReport("imac_to_ibc", Strategy("imac", order, power), out, gam)

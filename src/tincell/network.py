@@ -159,6 +159,13 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_int_lists(doc) -> bool:
+    """True iff ``doc`` is a JSON list of lists of integers (per-cell slots)."""
+    return isinstance(doc, list) and all(
+        isinstance(cell, list) and all(_is_int(x) for x in cell) for cell in doc
+    )
+
+
 def parse_network(text: str) -> ChannelStrengths:
     """Parse a JSON network description into a :class:`ChannelStrengths`.
 

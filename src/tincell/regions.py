@@ -38,10 +38,6 @@ class Subnetwork:
     def full(net: ChannelStrengths) -> "Subnetwork":
         return Subnetwork(tuple(tuple(range(1, lk + 1)) for lk in net.L))
 
-    @staticmethod
-    def empty(net: ChannelStrengths) -> "Subnetwork":
-        return Subnetwork(tuple(() for _ in net.L))
-
     def cells(self) -> tuple[int, ...]:
         """Cells with at least one participating user."""
         return tuple(k + 1 for k, slots in enumerate(self.slots_by_cell) if slots)
@@ -290,54 +286,51 @@ def tina_max_weighted_sum(net: ChannelStrengths, w: Sequence):
 # regime classification
 
 
-def _cells_except(K: int, *excluded: int):
-    return [c for c in range(1, K + 1) if c not in excluded]
+def _cross_cell_holds(net: ChannelStrengths, i: int, j: int, convex: bool, slots: Sequence[int]) -> bool:
+    """``direct(i, l) >= s(i, l, j) + s(k, lk, i)`` at each of ``slots`` of
+    cell ``i``, for every cell ``k != i`` and slot ``lk`` of ``k``, less
+    ``s(k, lk, j)`` in the convex regime when ``k != j``."""
+    for l in slots:
+        margin = net.direct(i, l) - net.strength(i, l, j)
+        for k in range(1, net.K + 1):
+            if k == i:
+                continue
+            for lk in range(1, net.L[k - 1] + 1):
+                rhs = net.strength(k, lk, i)
+                if convex and k != j:
+                    rhs -= net.strength(k, lk, j)
+                if margin < rhs:
+                    return False
+    return True
 
 
 def ctin_conditions_hold(net: ChannelStrengths) -> bool:
     """Strength conditions under which the TINA region collapses to a single
     convex polyhedron (identity order, all users)."""
-    K = net.K
-    for i in range(1, K + 1):
-        Li = net.L[i - 1]
-        for j in _cells_except(K, i):
-            for l in range(2, Li + 1):
-                for lp in range(1, l):
-                    if net.direct(i, l) - net.strength(i, l, j) < net.direct(i, lp) - net.strength(i, lp, j):
-                        return False
-            for k in range(1, K + 1):
-                if k == i:
-                    continue
-                for lk in range(1, net.L[k - 1] + 1):
-                    rhs = net.strength(i, 1, j) + net.strength(k, lk, i)
-                    if k != j:
-                        rhs -= net.strength(k, lk, j)
-                    if net.direct(i, 1) < rhs:
-                        return False
+    for i, j in itertools.permutations(range(1, net.K + 1), 2):
+        # direct - s(., j) must be non-decreasing along the cell
+        margins = [net.direct(i, l) - net.strength(i, l, j) for l in range(1, net.L[i - 1] + 1)]
+        if any(b < a for a, b in zip(margins, margins[1:])):
+            return False
+        if not _cross_cell_holds(net, i, j, convex=True, slots=(1,)):
+            return False
     return True
 
 
 def tin_conditions_hold(net: ChannelStrengths) -> bool:
     """Stricter strength conditions under which that polyhedron is the whole
     GDoF region (TIN is optimal)."""
-    K = net.K
-    for i in range(1, K + 1):
-        Li = net.L[i - 1]
-        for j in _cells_except(K, i):
-            for l in range(2, Li + 1):
-                for lp in range(1, l):
-                    a_l = net.direct(i, l)
-                    cross_l = net.strength(i, l, j)
-                    branch_a = a_l >= cross_l + net.direct(i, lp)
-                    branch_b = a_l >= 2 * cross_l + net.direct(i, lp) - net.strength(i, lp, j)
-                    if not (branch_a or branch_b):
-                        return False
-            for k in range(1, K + 1):
-                if k == i:
-                    continue
-                for lk in range(1, net.L[k - 1] + 1):
-                    if net.direct(i, 1) < net.strength(i, 1, j) + net.strength(k, lk, i):
-                        return False
+    for i, j in itertools.permutations(range(1, net.K + 1), 2):
+        # all slot pairs: adjacent pairs suffice only when direct links ascend
+        for l in range(2, net.L[i - 1] + 1):
+            a_l, cross_l = net.direct(i, l), net.strength(i, l, j)
+            for lp in range(1, l):
+                branch_a = a_l >= cross_l + net.direct(i, lp)
+                branch_b = a_l >= 2 * cross_l + net.direct(i, lp) - net.strength(i, lp, j)
+                if not (branch_a or branch_b):
+                    return False
+        if not _cross_cell_holds(net, i, j, convex=False, slots=(1,)):
+            return False
     return True
 
 
@@ -356,20 +349,10 @@ def implied_conditions_hold(net: ChannelStrengths, label: RegimeLabel) -> bool:
     cell must propagate to every user when the regime label is correct."""
     if label not in (RegimeLabel.TIN, RegimeLabel.CTIN_ONLY):
         raise PreconditionError("only meaningful for TIN / CTIN_ONLY labels")
-    K = net.K
-    for i in range(1, K + 1):
-        for j in _cells_except(K, i):
-            for k in range(1, K + 1):
-                if k == i:
-                    continue
-                for li in range(1, net.L[i - 1] + 1):
-                    for lk in range(1, net.L[k - 1] + 1):
-                        rhs = net.strength(i, li, j) + net.strength(k, lk, i)
-                        if label is RegimeLabel.CTIN_ONLY and k != j:
-                            rhs -= net.strength(k, lk, j)
-                        if net.direct(i, li) < rhs:
-                            return False
-    return True
+    return all(
+        _cross_cell_holds(net, i, j, label is RegimeLabel.CTIN_ONLY, range(1, net.L[i - 1] + 1))
+        for i, j in itertools.permutations(range(1, net.K + 1), 2)
+    )
 
 
 # ---------------------------------------------------------------------------

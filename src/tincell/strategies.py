@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, NetworkFormatError
-from .network import ChannelStrengths, _is_int, as_fraction
+from .network import ChannelStrengths, _is_int, _is_int_lists, as_fraction
 
 #: Sentinel for a user that transmits nothing / is allocated no power.
 SILENT = None
@@ -50,10 +50,6 @@ class DecodingOrder:
     @staticmethod
     def identity(L: Sequence[int]) -> "DecodingOrder":
         return DecodingOrder(tuple(tuple(range(1, lk + 1)) for lk in L))
-
-    def position_of(self, cell: int, slot: int) -> int:
-        """1-based decode position of ``slot`` within its cell."""
-        return self.pi[cell - 1].index(slot) + 1
 
 
 @dataclass(frozen=True)
@@ -312,7 +308,7 @@ def parse_strategy(text: str, net: ChannelStrengths) -> Strategy:
     for key, value in (("order", perms), ("r", cells)):
         if not isinstance(value, list) or not all(isinstance(cell, list) for cell in value):
             raise NetworkFormatError(f'"{key}" must be a list of per-cell lists')
-    if not all(_is_int(x) for perm in perms for x in perm):
+    if not _is_int_lists(perms):
         raise NetworkFormatError("decoding order entries must be integers")
     try:
         order = DecodingOrder(tuple(tuple(perm) for perm in perms))

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tincell as tc
 from tincell.strategies import SILENT
 
-from conftest import mknet, nets_with_strategy
+from conftest import mknet, nets, nets_with_strategy
 
 
 def id_order(net):
@@ -133,6 +134,54 @@ def test_normalize_three_user_chain():
     after = tc.gdof_bounds_imac(net, new_order, new_power)
     assert tc.satisfies_received_power_order(net, new_order, new_power)
     assert all(a >= b for a, b in zip(after, before))
+
+
+def _swap_loop_normalize(net, order, power):
+    """Reference: fix the first adjacent pair with decreasing received power
+    by swapping it and silencing the demoted user, until none is left."""
+    pi = [list(p) for p in order.pi]
+    r = [list(c) for c in power.r]
+
+    def received(k, slot):
+        x = r[k - 1][slot - 1]
+        return float("-inf") if x is SILENT else net.direct(k, slot) + x
+
+    for k in range(1, net.K + 1):
+        perm = pi[k - 1]
+        changed = True
+        while changed:
+            changed = False
+            for pos in range(len(perm) - 1):
+                lo, hi = perm[pos], perm[pos + 1]
+                if received(k, hi) < received(k, lo):
+                    perm[pos], perm[pos + 1] = hi, lo
+                    r[k - 1][hi - 1] = SILENT
+                    changed = True
+                    break
+    return (
+        tc.DecodingOrder(tuple(tuple(p) for p in pi)),
+        tc.PowerAllocation(tuple(tuple(c) for c in r)),
+    )
+
+
+@st.composite
+def tied_uplink_strategies(draw):
+    """Strengths and exponents on the 1/2 grid, so received powers often tie,
+    and each user SILENT with probability about a third."""
+    net = draw(nets(max_K=3, max_L=4, denom=2, max_num=4))
+    half = st.integers(-4, 0).map(lambda n: Fraction(n, 2))
+    r = tuple(
+        tuple(draw(st.one_of(st.none(), half, half)) for _ in range(lk)) for lk in net.L
+    )
+    pi = tuple(tuple(draw(st.permutations(range(1, lk + 1)))) for lk in net.L)
+    return net, tc.DecodingOrder(pi), tc.PowerAllocation(r)
+
+
+@given(tied_uplink_strategies())
+@settings(max_examples=300, deadline=None)
+def test_normalize_matches_swap_loop_reference(drawn):
+    net, order, power = drawn
+    assert tc.normalize_imac_strategy(net, order, power) == _swap_loop_normalize(net, order, power)
 
 
 # --- inclusion properties ---------------------------------------------------

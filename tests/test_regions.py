@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tincell as tc
 from tincell.regions import _all_suborders, _all_subnetworks
@@ -226,6 +228,112 @@ def test_labels_imply_remaining_user_conditions(net):
     label = tc.classify_regime(net)
     if label in (tc.RegimeLabel.TIN, tc.RegimeLabel.CTIN_ONLY):
         assert tc.implied_conditions_hold(net, label)
+
+
+# Reference copies of the pairwise regime loops, kept as an independent route:
+# the package checks the convex in-cell condition on adjacent slots only and
+# states the cross-cell inequality once.
+
+
+def _ref_ctin(net):
+    K = net.K
+    for i in range(1, K + 1):
+        Li = net.L[i - 1]
+        for j in [c for c in range(1, K + 1) if c != i]:
+            for l in range(2, Li + 1):
+                for lp in range(1, l):
+                    if net.direct(i, l) - net.strength(i, l, j) < net.direct(i, lp) - net.strength(i, lp, j):
+                        return False
+            for k in range(1, K + 1):
+                if k == i:
+                    continue
+                for lk in range(1, net.L[k - 1] + 1):
+                    rhs = net.strength(i, 1, j) + net.strength(k, lk, i)
+                    if k != j:
+                        rhs -= net.strength(k, lk, j)
+                    if net.direct(i, 1) < rhs:
+                        return False
+    return True
+
+
+def _ref_tin(net):
+    K = net.K
+    for i in range(1, K + 1):
+        Li = net.L[i - 1]
+        for j in [c for c in range(1, K + 1) if c != i]:
+            for l in range(2, Li + 1):
+                for lp in range(1, l):
+                    a_l = net.direct(i, l)
+                    cross_l = net.strength(i, l, j)
+                    branch_a = a_l >= cross_l + net.direct(i, lp)
+                    branch_b = a_l >= 2 * cross_l + net.direct(i, lp) - net.strength(i, lp, j)
+                    if not (branch_a or branch_b):
+                        return False
+            for k in range(1, K + 1):
+                if k == i:
+                    continue
+                for lk in range(1, net.L[k - 1] + 1):
+                    if net.direct(i, 1) < net.strength(i, 1, j) + net.strength(k, lk, i):
+                        return False
+    return True
+
+
+def _ref_implied(net, label):
+    K = net.K
+    for i in range(1, K + 1):
+        for j in [c for c in range(1, K + 1) if c != i]:
+            for k in range(1, K + 1):
+                if k == i:
+                    continue
+                for li in range(1, net.L[i - 1] + 1):
+                    for lk in range(1, net.L[k - 1] + 1):
+                        rhs = net.strength(i, li, j) + net.strength(k, lk, i)
+                        if label is tc.RegimeLabel.CTIN_ONLY and k != j:
+                            rhs -= net.strength(k, lk, j)
+                        if net.direct(i, li) < rhs:
+                            return False
+    return True
+
+
+@st.composite
+def shuffled_nets(draw, **kwargs):
+    """nets() with each cell's slots permuted, so direct links need not ascend."""
+    net = draw(nets(**kwargs))
+    alpha = [
+        [list(net.alpha[k][l]) for l in draw(st.permutations(range(lk)))]
+        for k, lk in enumerate(net.L)
+    ]
+    return tc.ChannelStrengths.from_rows(net.K, net.L, alpha)
+
+
+@given(st.one_of(nets(max_num=20), shuffled_nets(max_num=20)))
+@settings(max_examples=300, deadline=None)
+def test_regime_conditions_match_pairwise_reference(net):
+    assert tc.ctin_conditions_hold(net) == _ref_ctin(net)
+    assert tc.tin_conditions_hold(net) == _ref_tin(net)
+    for label in (tc.RegimeLabel.TIN, tc.RegimeLabel.CTIN_ONLY):
+        assert tc.implied_conditions_hold(net, label) == _ref_implied(net, label)
+
+
+def test_regime_conditions_match_reference_on_one_sided_grid():
+    # Two cells with (3, 1) users and no interference into cell 1, so the
+    # strict regime turns on cell 1's in-cell condition.  Every cell 1 on the
+    # 1/2 grid, most with non-ascending direct links; a random draw rarely
+    # hits the few where only a non-adjacent slot pair fails.
+    grid = (0, Fraction(1, 2), 1)
+    for values in itertools.product(grid, repeat=6):
+        cell1 = [list(values[0:2]), list(values[2:4]), list(values[4:6])]
+        net = tc.ChannelStrengths.from_rows(2, [3, 1], [cell1, [[0, 1]]])
+        assert tc.ctin_conditions_hold(net) == _ref_ctin(net)
+        assert tc.tin_conditions_hold(net) == _ref_tin(net)
+
+
+def test_tin_in_cell_condition_keeps_non_adjacent_pairs():
+    # Directs (3/20, 1/20, 3/4) do not ascend: both adjacent pairs pass the
+    # two-branch test but the pair (3, 1) fails it.
+    net = mknet([[[0.15, 0.1], [0.05, 0.0], [0.75, 0.7]], [[0.0, 1.0]]])
+    assert not tc.tin_conditions_hold(net) and not _ref_tin(net)
+    assert tc.classify_regime(net) is tc.RegimeLabel.CTIN_ONLY
 
 
 # --- outer bound ------------------------------------------------------------
