@@ -231,12 +231,17 @@ class AdtCheckReport:
         return self.min_slack >= -self.tol
 
 
-def _batch_entropies(params: AdtParams, dists: Sequence[AdtDistribution], q_cap: int):
-    """Rows of (H(y), H(y | x1)) at receiver a, then at receiver b."""
+def require_q_cap(params: AdtParams, q_cap: int = DEFAULT_Q_CAP) -> None:
+    """Refuse parameters whose 2^q-point laws exceed the cap (checked before any law is built)."""
     if params.q > q_cap:
         raise PreconditionError(
             f"q = {params.q} exceeds the cap {q_cap} on the 2^q-point laws held per distribution"
         )
+
+
+def _batch_entropies(params: AdtParams, dists: Sequence[AdtDistribution], q_cap: int):
+    """Rows of (H(y), H(y | x1)) at receiver a, then at receiver b."""
+    require_q_cap(params, q_cap)
     p1, p2 = _stack(params, dists)
     return _entropies(params, p1, p2, "a"), _entropies(params, p1, p2, "b")
 

@@ -26,10 +26,11 @@ from .adt import (
     check_entropy_diff,
     check_less_noisy,
     random_product_dists,
+    require_q_cap,
 )
 from .duality import dualize
 from .errors import TincellError
-from .network import ChannelStrengths, _is_int_lists, parse_network, validate
+from .network import ChannelStrengths, _is_int_lists, parse_decimal, parse_network, validate
 from .oracle import GridSpec, grid_achievable_points, oracle_max_sum
 from .regions import (
     Subnetwork,
@@ -64,7 +65,7 @@ def _digest(data: bytes) -> str:
 
 def _parse_list(text: str) -> list[Fraction]:
     try:
-        return [Fraction(part.strip()) for part in text.split(",") if part.strip() != ""]
+        return [parse_decimal(part.strip()) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise TincellError(f"bad numeric list {text!r}: {exc}") from exc
 
@@ -221,8 +222,8 @@ def _cmd_dualize(args) -> dict:
 def _cmd_oracle(args):
     inputs = _Inputs()
     net = inputs.net(args.net)
-    step = Fraction(args.grid) if args.grid is not None else Fraction(1, 20)
-    depth = Fraction(args.rmax) if args.rmax is not None else net.max_strength() + 1
+    step = parse_decimal(args.grid) if args.grid is not None else Fraction(1, 20)
+    depth = parse_decimal(args.rmax) if args.rmax is not None else net.max_strength() + 1
     grid = GridSpec(step=step, depth=depth)
     mode = "exact" if args.exact else "float"
     points = grid_achievable_points(net, args.side, grid, mode=mode, budget=args.budget)
@@ -264,6 +265,7 @@ def _cmd_adt(args) -> dict:
     if args.trials < 0:
         raise TincellError(f"--trials must be nonnegative, got {args.trials}")
     params = AdtParams(m1, m2, n1, n2)
+    require_q_cap(params)
     rng = np.random.default_rng(args.seed)
     dists = [AdtDistribution.uniform(params.q)]
     dists += random_product_dists(params.q, args.trials, rng)

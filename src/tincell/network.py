@@ -14,6 +14,7 @@ the README).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
@@ -21,6 +22,29 @@ from typing import NamedTuple, Sequence, Union
 from .errors import NetworkFormatError
 
 Number = Union[int, float, Fraction]
+
+
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*$")
+
+
+def parse_decimal(text: str) -> Fraction:
+    """``Fraction(text)``, refusing a decimal exponent beyond ``MAX_DECIMAL_EXPONENT``.
+
+    ``Fraction`` expands the exponent eagerly: ``1e-999999`` takes a fraction
+    of a second and every further digit about 60 times longer.  No GDoF
+    input comes near the cap, so such a token is refused before parsing.
+    """
+    if "e" in text or "E" in text:
+        m = _EXPONENT.search(text)
+        if m:
+            digits = m.group(1).replace("_", "").lstrip("0")
+            if len(digits) > 4 or int(digits or "0") > MAX_DECIMAL_EXPONENT:
+                raise NetworkFormatError(
+                    f"number {text.strip()[:40]!r} has a decimal exponent beyond "
+                    f"{MAX_DECIMAL_EXPONENT} in magnitude"
+                )
+    return Fraction(text)
 
 
 class UserId(NamedTuple):
@@ -43,7 +67,7 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(repr(value))
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_decimal(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -173,7 +197,7 @@ def parse_network(text: str) -> ChannelStrengths:
     enforced here; use :func:`validate` / :func:`canonicalize`.
     """
     try:
-        doc = json.loads(text, parse_float=Fraction, parse_int=int)
+        doc = json.loads(text, parse_float=parse_decimal, parse_int=int)
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -251,9 +251,9 @@ def max_weighted_sum(region: PolyhedralRegion, w: Sequence) -> tuple[Fraction, t
     A = []
     b = []
     for c in region.constraints:
-        row = [Fraction(0)] * len(active)
+        row = [0] * len(active)
         for u in c.users:
-            row[col[u]] = Fraction(1)
+            row[col[u]] = 1
         A.append(row)
         b.append(c.bound)
     cvec = [w[index[u]] for u in active]

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, NetworkFormatError
-from .network import ChannelStrengths, _is_int, _is_int_lists, as_fraction
+from .network import ChannelStrengths, _is_int, _is_int_lists, as_fraction, parse_decimal
 
 #: Sentinel for a user that transmits nothing / is allocated no power.
 SILENT = None
@@ -296,7 +296,7 @@ def parse_strategy(text: str, net: ChannelStrengths) -> Strategy:
     """Parse the JSON strategy format: side, 1-based per-cell order, powers
     with ``"off"`` marking SILENT users."""
     try:
-        doc = json.loads(text, parse_float=Fraction, parse_int=int)
+        doc = json.loads(text, parse_float=parse_decimal, parse_int=int)
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or {"side", "order", "r"} - doc.keys():

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -397,6 +398,86 @@ def test_cli_fuzz_malformed_arguments(verb, order_text, order, subnet_text, subn
             argv.append(f"--weights={numbers}")
     files = {"NET": NET_A, "ORDER": order_text, "SUBNET": subnet_text}
     _assert_report_or_error(*_run_with_files(argv, files))
+
+
+_IA_NET = '{"K": 2, "L": [2, 1], "alpha": [[[1.0, 0.5], [1.2, 0.4]], [[0.2, 1.0]]]}'
+_DECIMALS = ["0.25", "1/3", "0.5", "1", "2", "0", "-0.25", "1e-400", "1e400", "1e-9999999"]
+_DECIMAL_ARGS = st.one_of(st.none(), st.sampled_from(_DECIMALS + _JUNK_ENTRIES))
+
+
+@given(
+    st.sampled_from(["ibc", "imac"]),
+    _DECIMAL_ARGS,
+    _DECIMAL_ARGS,
+    st.one_of(st.none(), st.just("1,1,1"), _malformed_list("1,0.5,1")),
+    st.integers(-2, 3000),
+    st.sampled_from([[], ["--exact"], ["--float"]]),
+)
+@settings(max_examples=100, deadline=None)
+def test_cli_fuzz_oracle_arguments(side, grid, rmax, weights, budget, mode):
+    argv = ["oracle", "--net", "NET", "--side", side, f"--budget={budget}", *mode]
+    for flag, value in (("grid", grid), ("rmax", rmax), ("weights", weights)):
+        if value is not None:
+            argv.append(f"--{flag}={value}")
+    _assert_report_or_error(*_run_with_files(argv, {"NET": NET_A}))
+
+
+@given(st.one_of(_mutated(_IA_NET), _mutated(NET_A), st.sampled_from([_IA_NET, NET_A])))
+@settings(max_examples=100, deadline=None)
+def test_cli_fuzz_ia_arguments(net_text):
+    _assert_report_or_error(*_run_with_files(["ia", "--net", "NET"], {"NET": net_text}))
+
+
+@given(
+    st.one_of(
+        st.sampled_from(["3,1,4,1", "4,2,4,1", "0,0,0,0", "1,2,1,1", "-1,0,0,0", "9,1,9,1", "40,0,40,0"]),
+        _malformed_list("3,1,4,1"),
+    ),
+    st.integers(-2, 5),
+    st.sampled_from(["lessnoisy", "entropydiff"]),
+    st.one_of(st.integers(-3, 3), st.just(2**70)),
+)
+@settings(max_examples=100, deadline=None)
+def test_cli_fuzz_adt_arguments(params, trials, mode, seed):
+    argv = ["adt", f"--params={params}", f"--trials={trials}", "--mode", mode, f"--seed={seed}"]
+    _assert_report_or_error(*_run_with_files(argv, {}))
+
+
+def test_adt_q_beyond_cap_is_refused_before_any_law_is_built(capsys):
+    # q = 40 would ask for two 2^40-point laws per distribution
+    code, doc = invoke_json(capsys, "adt", "--params", "40,0,40,0", "--trials", "1")
+    assert code == 1
+    assert doc["error"]["type"] == "PreconditionError"
+    assert "exceeds the cap" in doc["error"]["message"]
+
+
+_HUGE_EXPONENT = "1e-9999999"
+
+
+@pytest.mark.parametrize("argv", [
+    ["member", "--net", "NET", f"--point=0,{_HUGE_EXPONENT},0"],
+    ["maxsum", "--net", "NET", f"--weights=1,{_HUGE_EXPONENT},1"],
+    ["oracle", "--net", "NET", f"--grid={_HUGE_EXPONENT}"],
+    ["oracle", "--net", "NET", f"--rmax={_HUGE_EXPONENT}"],
+    ["oracle", "--net", "NET", "--grid=0.5", "--rmax=1", f"--weights=1,1,{_HUGE_EXPONENT}"],
+    ["classify", "--net", "HUGE"],
+])
+def test_huge_decimal_exponents_are_refused_at_once(argv):
+    # Fraction would expand the exponent into ten million digits first
+    huge = NET_A.replace("0.1", _HUGE_EXPONENT)
+    start = time.perf_counter()
+    code, doc = _run_with_files(argv, {"NET": NET_A, "HUGE": huge})
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert doc["error"]["type"] == "NetworkFormatError"
+    assert "decimal exponent" in doc["error"]["message"]
+
+
+def test_decimal_exponents_up_to_the_cap_still_parse(capsys, net_file):
+    code, doc = invoke_json(capsys, "member", "--net", net_file, "--point=1e-1000,0.2E+0,0")
+    assert code == 0 and doc["contained"] is True
+    code, doc = invoke_json(capsys, "maxsum", "--net", net_file, "--weights=1e-1000,0,0")
+    assert code == 0 and doc["argmax"] == [0.6, 0.0, 0.0]
 
 
 # --- byte-identical reports ----------------------------------------------------

@@ -181,7 +181,9 @@ def tied_uplink_strategies(draw):
 @settings(max_examples=300, deadline=None)
 def test_normalize_matches_swap_loop_reference(drawn):
     net, order, power = drawn
-    assert tc.normalize_imac_strategy(net, order, power) == _swap_loop_normalize(net, order, power)
+    out = tc.normalize_imac_strategy(net, order, power)
+    assert out == _swap_loop_normalize(net, order, power)
+    assert tc.satisfies_received_power_order(net, *out)
 
 
 # --- inclusion properties ---------------------------------------------------
@@ -214,6 +216,7 @@ def test_normalization_dominates(net_strategy):
     net, strategy = net_strategy
     before = tc.gdof_bounds_imac(net, strategy.order, strategy.power)
     order, power = tc.normalize_imac_strategy(net, strategy.order, strategy.power)
+    assert tc.satisfies_received_power_order(net, order, power)
     after = tc.gdof_bounds_imac(net, order, power)
     assert all(a >= b for a, b in zip(after, before))
 

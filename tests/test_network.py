@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tincell as tc
 from tincell.errors import NetworkFormatError
+from tincell.network import parse_decimal
 
 from conftest import mknet, nets
 
@@ -119,3 +121,35 @@ def test_float_view(net_a):
     view = net_a.floats()
     assert view[0][0][0] == pytest.approx(0.6)
     assert isinstance(view[0][0][0], float)
+
+
+@given(
+    st.integers(-10**6, 10**6),
+    st.integers(0, 10**6),
+    st.integers(-1000, 1000),
+    st.sampled_from(["e", "E"]),
+    st.sampled_from(["", "+"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_parse_decimal_matches_fraction_within_the_cap(whole, frac, exp, e, plus):
+    sign = "-" if exp < 0 else plus
+    for text in (f"{whole}.{frac}{e}{sign}{abs(exp)}", f" {whole}{e}{sign}{abs(exp)} ", f"{whole}/{frac + 1}"):
+        assert parse_decimal(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1e1000", "1e-1000", "2.5E+0_1_000", "1e-00000000000001000"])
+def test_parse_decimal_accepts_exponents_at_the_cap(text):
+    assert parse_decimal(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1e1001", "1e-1001", "3.5E+99999", "1e-9999999", "1e-1_0_0_1", "1e" + "9" * 5000])
+def test_parse_decimal_refuses_exponents_beyond_the_cap(text):
+    with pytest.raises(NetworkFormatError, match="decimal exponent"):
+        parse_decimal(text)
+
+
+def test_network_and_strategy_json_refuse_huge_exponents(net_a):
+    with pytest.raises(NetworkFormatError, match="decimal exponent"):
+        tc.parse_network('{"K": 1, "L": [1], "alpha": [[[1e-9999999]]]}')
+    with pytest.raises(NetworkFormatError, match="decimal exponent"):
+        tc.parse_strategy('{"side": "ibc", "order": [[1, 2], [1]], "r": [[0, -1e9999999], [0]]}', net_a)
