@@ -224,42 +224,36 @@ class AdtCheckReport:
     n_dists: int
     min_slack: float
     worst_index: Optional[int]
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.min_slack >= -self.tol
+        return self.min_slack >= -DEFAULT_TOL
 
 
-def require_q_cap(params: AdtParams, q_cap: int = DEFAULT_Q_CAP) -> None:
+def require_q_cap(params: AdtParams) -> None:
     """Refuse parameters whose 2^q-point laws exceed the cap (checked before any law is built)."""
-    if params.q > q_cap:
+    if params.q > DEFAULT_Q_CAP:
         raise PreconditionError(
-            f"q = {params.q} exceeds the cap {q_cap} on the 2^q-point laws held per distribution"
+            f"q = {params.q} exceeds the cap {DEFAULT_Q_CAP} on the 2^q-point laws held per distribution"
         )
 
 
-def _batch_entropies(params: AdtParams, dists: Sequence[AdtDistribution], q_cap: int):
+def _batch_entropies(params: AdtParams, dists: Sequence[AdtDistribution]):
     """Rows of (H(y), H(y | x1)) at receiver a, then at receiver b."""
-    require_q_cap(params, q_cap)
+    require_q_cap(params)
     p1, p2 = _stack(params, dists)
     return _entropies(params, p1, p2, "a"), _entropies(params, p1, p2, "b")
 
 
-def _report(mode: str, params: AdtParams, slack: np.ndarray, tol: float) -> AdtCheckReport:
+def _report(mode: str, params: AdtParams, slack: np.ndarray) -> AdtCheckReport:
     """Report the smallest slack and the first index attaining it."""
     if slack.size == 0:
-        return AdtCheckReport(mode, params, 0, float("inf"), None, tol)
+        return AdtCheckReport(mode, params, 0, float("inf"), None)
     worst = int(np.argmin(slack))
-    return AdtCheckReport(mode, params, slack.size, float(slack[worst]), worst, tol)
+    return AdtCheckReport(mode, params, slack.size, float(slack[worst]), worst)
 
 
-def check_less_noisy(
-    params: AdtParams,
-    dists: Sequence[AdtDistribution],
-    tol: float = DEFAULT_TOL,
-    q_cap: int = DEFAULT_Q_CAP,
-) -> AdtCheckReport:
+def check_less_noisy(params: AdtParams, dists: Sequence[AdtDistribution]) -> AdtCheckReport:
     """Verify I(x1; yb) >= I(x1; ya) for every distribution.
 
     Slack per distribution is I(x1; yb) - I(x1; ya); requires the regime
@@ -267,16 +261,11 @@ def check_less_noisy(
     """
     if params.n1 - params.n2 < params.m1:
         raise PreconditionError("requires n1 - n2 >= m1")
-    (ha, ca), (hb, cb) = _batch_entropies(params, dists, q_cap)
-    return _report("lessnoisy", params, (hb - cb) - (ha - ca), tol)
+    (ha, ca), (hb, cb) = _batch_entropies(params, dists)
+    return _report("lessnoisy", params, (hb - cb) - (ha - ca))
 
 
-def check_entropy_diff(
-    params: AdtParams,
-    dists: Sequence[AdtDistribution],
-    tol: float = DEFAULT_TOL,
-    q_cap: int = DEFAULT_Q_CAP,
-) -> AdtCheckReport:
+def check_entropy_diff(params: AdtParams, dists: Sequence[AdtDistribution]) -> AdtCheckReport:
     """Verify H(ya) - H(yb) <= m2 - n2 bits for every distribution.
 
     Slack per distribution is (m2 - n2) - (H(ya) - H(yb)); requires the
@@ -284,8 +273,8 @@ def check_entropy_diff(
     """
     if params.n1 - 2 * params.n2 < params.m1 - params.m2 or params.n2 > params.m2:
         raise PreconditionError("requires n1 - 2*n2 >= m1 - m2 and n2 <= m2")
-    (ha, _), (hb, _) = _batch_entropies(params, dists, q_cap)
-    return _report("entropydiff", params, (params.m2 - params.n2) - (ha - hb), tol)
+    (ha, _), (hb, _) = _batch_entropies(params, dists)
+    return _report("entropydiff", params, (params.m2 - params.n2) - (ha - hb))
 
 
 def random_product_dists(q: int, count: int, rng: np.random.Generator) -> list[AdtDistribution]:

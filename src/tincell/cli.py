@@ -6,11 +6,16 @@ precondition, blown budget) print a structured error object and exit 1;
 usage errors exit 2.  Reports embed the tool version and a sha256 digest of
 every input file, and identical inputs always produce byte-identical
 output.
+
+One parser serves every request of a process: it is built on first use and
+cached.  ``run`` loads ``--net`` for every verb that takes it and wraps each
+verb's payload in the version-and-digests envelope.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -29,7 +34,7 @@ from .adt import (
     require_q_cap,
 )
 from .duality import dualize
-from .errors import TincellError
+from .errors import PreconditionError, TincellError
 from .network import ChannelStrengths, _is_int_lists, parse_decimal, parse_network, validate
 from .oracle import GridSpec, grid_achievable_points, oracle_max_sum
 from .regions import (
@@ -50,17 +55,8 @@ from .strategies import (
     strategy_to_dict,
 )
 
-
-def _read(path: str) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise TincellError(f"cannot read {path}: {exc}") from exc
-
-
-def _digest(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+# masses ``adt`` may draw: trials times two 2^q-point marginals
+_MAX_ADT_MASSES = 1 << 21
 
 
 def _parse_list(text: str) -> list[Fraction]:
@@ -80,21 +76,25 @@ class _Inputs:
     def __init__(self):
         self.digests = {}
 
+    def _text(self, key: str, path: str) -> str:
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise TincellError(f"cannot read {path}: {exc}") from exc
+        self.digests[key] = "sha256:" + hashlib.sha256(data).hexdigest()
+        return data.decode("utf-8")
+
     def net(self, path: str) -> ChannelStrengths:
-        data = _read(path)
-        self.digests["net"] = _digest(data)
-        return parse_network(data.decode("utf-8"))
+        return parse_network(self._text("net", path))
 
     def strategy(self, path: str, net: ChannelStrengths):
-        data = _read(path)
-        self.digests["strategy"] = _digest(data)
-        return parse_strategy(data.decode("utf-8"), net)
+        return parse_strategy(self._text("strategy", path), net)
 
     def json_file(self, key: str, path: str):
-        data = _read(path)
-        self.digests[key] = _digest(data)
+        text = self._text(key, path)
         try:
-            return json.loads(data.decode("utf-8"))
+            return json.loads(text)
         except json.JSONDecodeError as exc:
             raise TincellError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -109,53 +109,45 @@ def _int_lists_from_file(key: str, path: str, inputs: _Inputs) -> tuple[tuple[in
     return tuple(tuple(cell) for cell in doc)
 
 
-def _subnet_from_arg(arg: str, net: ChannelStrengths, inputs: _Inputs) -> Subnetwork:
-    if arg == "all":
-        return Subnetwork.full(net)
-    cells = _int_lists_from_file("subnet", arg, inputs)
-    try:
-        return Subnetwork(cells)
-    except ValueError as exc:
-        raise TincellError(f"bad subnet file: {exc}") from exc
-
-
-def _order_from_arg(arg: str, subnet: Subnetwork, inputs: _Inputs) -> dict:
-    if arg == "id":
-        return identity_suborder(subnet)
-    perms = _int_lists_from_file("order", arg, inputs)
+def _order_and_subnet(args, inputs: _Inputs, net: ChannelStrengths) -> tuple[dict, Subnetwork]:
+    """The ``--order`` and ``--subnet`` of ``region`` / ``maxsum``; the subnet is read first."""
+    if args.subnet == "all":
+        subnet = Subnetwork.full(net)
+    else:
+        cells = _int_lists_from_file("subnet", args.subnet, inputs)
+        try:
+            subnet = Subnetwork(cells)
+        except ValueError as exc:
+            raise TincellError(f"bad subnet file: {exc}") from exc
+    if args.order == "id":
+        return identity_suborder(subnet), subnet
+    perms = _int_lists_from_file("order", args.order, inputs)
     cells = subnet.cells()
     if len(perms) != len(cells):
         raise TincellError(
             f"bad order file: {len(perms)} per-cell lists for {len(cells)} participating cells"
         )
-    return dict(zip(cells, perms))
+    return dict(zip(cells, perms)), subnet
 
 
-def _cmd_validate(args) -> dict:
-    inputs = _Inputs()
-    net = inputs.net(args.net)
+# Each verb takes (args, inputs, parsed --net or None) and returns its payload.
+
+
+def _cmd_validate(args, inputs, net) -> dict:
     violations = validate(net)
-    return inputs.envelope({"ok": not violations, "violations": [list(v) for v in violations]})
+    return {"ok": not violations, "violations": [list(v) for v in violations]}
 
 
-def _cmd_classify(args) -> dict:
-    inputs = _Inputs()
-    net = inputs.net(args.net)
-    return inputs.envelope({"regime": classify_regime(net).value})
+def _cmd_classify(args, inputs, net) -> dict:
+    return {"regime": classify_regime(net).value}
 
 
-def _cmd_region(args) -> dict:
-    inputs = _Inputs()
-    net = inputs.net(args.net)
-    subnet = _subnet_from_arg(args.subnet, net, inputs)
-    order = _order_from_arg(args.order, subnet, inputs)
-    region = polyhedral_region(net, order, subnet)
-    return inputs.envelope({"region": region_to_dict(region)})
+def _cmd_region(args, inputs, net) -> dict:
+    order, subnet = _order_and_subnet(args, inputs, net)
+    return {"region": region_to_dict(polyhedral_region(net, order, subnet))}
 
 
-def _cmd_member(args) -> dict:
-    inputs = _Inputs()
-    net = inputs.net(args.net)
+def _cmd_member(args, inputs, net) -> dict:
     point = _parse_list(args.point)
     if len(point) != net.n_users:
         raise TincellError(f"point has {len(point)} entries, expected {net.n_users}")
@@ -167,61 +159,49 @@ def _cmd_member(args) -> dict:
             "order": {str(c): list(order[c]) for c in sorted(order)},
             "subnet": [list(s) for s in subnet.slots_by_cell],
         }
-    return inputs.envelope(payload)
+    return payload
 
 
-def _cmd_maxsum(args) -> dict:
-    inputs = _Inputs()
-    net = inputs.net(args.net)
-    subnet = _subnet_from_arg(args.subnet, net, inputs)
-    order = _order_from_arg(args.order, subnet, inputs)
-    weights = _parse_list(args.weights)
-    region = polyhedral_region(net, order, subnet)
-    value, arg = max_weighted_sum(region, weights)
-    return inputs.envelope({"value": float(value), "argmax": [float(x) for x in arg]})
+def _cmd_maxsum(args, inputs, net) -> dict:
+    order, subnet = _order_and_subnet(args, inputs, net)
+    weights = _parse_list(args.weights)  # before the build: bad weights beat a non-bijective order
+    value, arg = max_weighted_sum(polyhedral_region(net, order, subnet), weights)
+    return {"value": float(value), "argmax": [float(x) for x in arg]}
 
 
-def _cmd_bounds(args) -> dict:
-    inputs = _Inputs()
-    net = inputs.net(args.net)
+def _cmd_bounds(args, inputs, net) -> dict:
     strategy = inputs.strategy(args.strategy, net)
     bounds = gdof_bounds(net, strategy)
-    return inputs.envelope({"side": strategy.side, "bounds": [float(b) for b in bounds]})
+    return {"side": strategy.side, "bounds": [float(b) for b in bounds]}
 
 
-def _cmd_rates(args) -> dict:
-    inputs = _Inputs()
-    net = inputs.net(args.net)
+def _cmd_rates(args, inputs, net) -> dict:
     strategy = inputs.strategy(args.strategy, net)
     if strategy.side != "ibc":
         raise TincellError("finite-SNR rates are only defined for downlink strategies")
     cfg = FiniteSnrConfig(P=float(args.pnominal))
     pairs = sinr_rates_ibc(net, strategy.order, strategy.power, cfg)
     log2p = math.log2(cfg.P)
-    return inputs.envelope({
+    return {
         "P": cfg.P,
         "sinr": [s for s, _ in pairs],
         "rate_bits": [r for _, r in pairs],
         "rate_over_log2P": [r / log2p for _, r in pairs],
-    })
+    }
 
 
-def _cmd_dualize(args) -> dict:
-    inputs = _Inputs()
-    net = inputs.net(args.net)
+def _cmd_dualize(args, inputs, net) -> dict:
     strategy = inputs.strategy(args.strategy, net)
     report = dualize(net, strategy)
-    return inputs.envelope({
+    return {
         "direction": report.direction,
         "input": strategy_to_dict(report.input_strategy),
         "output": strategy_to_dict(report.output_strategy),
         "gamma": [float(g) for g in report.gamma],
-    })
+    }
 
 
-def _cmd_oracle(args):
-    inputs = _Inputs()
-    net = inputs.net(args.net)
+def _cmd_oracle(args, inputs, net):
     step = parse_decimal(args.grid) if args.grid is not None else Fraction(1, 20)
     depth = parse_decimal(args.rmax) if args.rmax is not None else net.max_strength() + 1
     grid = GridSpec(step=step, depth=depth)
@@ -242,22 +222,20 @@ def _cmd_oracle(args):
     if args.weights is not None:
         w = _parse_list(args.weights)
         payload["max_sum"] = float(oracle_max_sum(net, args.side, w, grid, mode=mode, budget=args.budget))
-    return inputs.envelope(payload)
+    return payload
 
 
-def _cmd_ia(args) -> dict:
-    inputs = _Inputs()
-    net = inputs.net(args.net)
+def _cmd_ia(args, inputs, net) -> dict:
     rep = ia_sum_gdof(net)
-    return inputs.envelope({
+    return {
         "d_tina": float(rep.d_tina),
         "gamma_ia": float(rep.gamma_ia),
         "d_ia": float(rep.d_ia),
         "applicable": rep.applicable,
-    })
+    }
 
 
-def _cmd_adt(args) -> dict:
+def _cmd_adt(args, inputs, net) -> dict:
     try:
         m1, m2, n1, n2 = (int(x) for x in args.params.split(","))
     except ValueError as exc:
@@ -266,6 +244,12 @@ def _cmd_adt(args) -> dict:
         raise TincellError(f"--trials must be nonnegative, got {args.trials}")
     params = AdtParams(m1, m2, n1, n2)
     require_q_cap(params)
+    masses = args.trials << (params.q + 1)
+    if masses > _MAX_ADT_MASSES:
+        raise PreconditionError(
+            f"--trials {args.trials} at q = {params.q} would draw {masses} probability masses, "
+            f"over the cap of {_MAX_ADT_MASSES}"
+        )
     rng = np.random.default_rng(args.seed)
     dists = [AdtDistribution.uniform(params.q)]
     dists += random_product_dists(params.q, args.trials, rng)
@@ -276,8 +260,6 @@ def _cmd_adt(args) -> dict:
         d = dists[report.worst_index]
         worst = {"p1": list(d.p1), "p2": list(d.p2)}
     return {
-        "version": __version__,
-        "inputs": {},
         "mode": report.mode,
         "params": [m1, m2, n1, n2],
         "trials": args.trials,
@@ -287,6 +269,7 @@ def _cmd_adt(args) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tincell",
@@ -345,18 +328,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    inputs = _Inputs()
     try:
-        report = args.fn(args)
+        net = inputs.net(args.net) if "net" in args else None
+        payload = args.fn(args, inputs, net)
     except (TincellError, ValueError, ArithmeticError) as exc:
         _emit({
             "version": __version__,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         })
         return 1
-    if report is not None:
-        _emit(report)
+    if payload is not None:
+        _emit(inputs.envelope(payload))
     return 0
 
 

@@ -53,8 +53,8 @@ class GridSpec:
         return int(self.depth / self.step) + 2
 
 
-def default_grid(net: ChannelStrengths, step=Fraction(1, 20)) -> GridSpec:
-    return GridSpec(step=as_fraction(step), depth=net.max_strength() + 1)
+def default_grid(net: ChannelStrengths) -> GridSpec:
+    return GridSpec(step=Fraction(1, 20), depth=net.max_strength() + 1)
 
 
 def strategy_count(net: ChannelStrengths, grid: GridSpec) -> int:
@@ -114,14 +114,14 @@ class _Lattice:
         # kernels, exactly like SILENT, so all such levels fold into SILENT.
         self.levels = np.append(levels[self.top + levels >= 0], self.neg)
 
-    def iter_r_chunks(self, chunk_rows: int = _CHUNK):
+    def iter_r_chunks(self):
         """Yield (rows, n) arrays covering the full exponent mesh in order."""
         base = len(self.levels)
         total = base**self.n
         radix = [base ** (self.n - 1 - i) for i in range(self.n)]
         start = 0
         while start < total:
-            stop = min(start + chunk_rows, total)
+            stop = min(start + _CHUNK, total)
             idx = np.arange(start, stop, dtype=np.int64)
             cols = [self.levels[(idx // radix[i]) % base] for i in range(self.n)]
             yield np.stack(cols, axis=1)
@@ -201,15 +201,19 @@ class _Lattice:
     def bounds(self, side: str, order, R: np.ndarray) -> np.ndarray:
         return self.bounds_ibc(order, R) if side == "ibc" else self.bounds_imac(order, R)
 
+    def iter_bounds(self, side: str):
+        """Yield the bound arrays of every decode order and mesh chunk."""
+        for order in self.all_orders():
+            for R in self.iter_r_chunks():
+                yield self.bounds(side, order, R)
 
-def _iter_bounds(net, side, grid, mode, budget):
+
+def _lattice(net, side, grid, mode, budget) -> _Lattice:
+    """Check the side, then the budget, then build the lattice."""
     if side not in ("ibc", "imac"):
         raise ValueError("side must be 'ibc' or 'imac'")
     _check_budget(net, grid, budget)
-    lat = _Lattice(net, grid, mode)
-    for order in lat.all_orders():
-        for R in lat.iter_r_chunks():
-            yield lat, lat.bounds(side, order, R)
+    return _Lattice(net, grid, mode)
 
 
 def grid_achievable_points(
@@ -224,15 +228,14 @@ def grid_achievable_points(
     Exact mode yields Fraction tuples with no tolerance; float mode dedups
     at 1e-12.
     """
+    lat = _lattice(net, side, grid, mode, budget)
     points = set()
-    scale = None
-    for lat, b in _iter_bounds(net, side, grid, mode, budget):
-        scale = lat.scale
+    for b in lat.iter_bounds(side):
         if mode == "float":
             b = np.round(b / 1e-12) * 1e-12
         points.update(map(tuple, _distinct_rows(b).tolist()))
     if mode == "exact":
-        frac = {v: Fraction(v, scale) for v in {v for p in points for v in p}}
+        frac = {v: Fraction(v, lat.scale) for v in {v for p in points for v in p}}
         return {tuple(frac[v] for v in p) for p in points}
     return points
 
@@ -256,20 +259,12 @@ def oracle_achievable(
     """True iff some enumerated strategy's bounds dominate ``d`` componentwise."""
     if len(d) != net.n_users:
         raise ValueError(f"tuple of length {len(d)}, expected {net.n_users}")
-    first = True
-    target = None
-    for lat, b in _iter_bounds(net, side, grid, mode, budget):
-        if first:
-            if mode == "exact":
-                target = np.array(
-                    [math.ceil(as_fraction(x) * lat.scale) for x in d], dtype=np.int64
-                )
-            else:
-                target = np.asarray([float(x) for x in d])
-            first = False
-        if bool(np.any(np.all(b >= target, axis=1))):
-            return True
-    return False
+    lat = _lattice(net, side, grid, mode, budget)
+    if mode == "exact":
+        target = np.array([math.ceil(as_fraction(x) * lat.scale) for x in d], dtype=np.int64)
+    else:
+        target = np.asarray([float(x) for x in d])
+    return any(bool(np.any(np.all(b >= target, axis=1))) for b in lat.iter_bounds(side))
 
 
 def oracle_max_sum(
@@ -287,25 +282,18 @@ def oracle_max_sum(
     """
     if len(w) != net.n_users:
         raise ValueError(f"{len(w)} weights for {net.n_users} users")
-    best = None
-    weights = None
-    for lat, b in _iter_bounds(net, side, grid, mode, budget):
-        if weights is None:
-            if mode == "exact":
-                wf = [as_fraction(x) for x in w]
-                w_den = math.lcm(*(x.denominator for x in wf))
-                w_int = [int(x * w_den) for x in wf]
-                # every bound is at most the largest scaled strength; a weighted
-                # sum that could leave int64 is evaluated on Python ints
-                big = lat.top * sum(abs(x) for x in w_int) >= 2**63
-                weights = np.array(w_int, dtype=object if big else np.int64)
-            else:
-                weights = np.asarray([float(x) for x in w])
-        vals = b @ weights
-        top = vals.max()
-        if best is None or top > best:
-            best = top
-            scale = lat.scale
+    lat = _lattice(net, side, grid, mode, budget)
     if mode == "exact":
-        return Fraction(int(best), scale * w_den)
+        wf = [as_fraction(x) for x in w]
+        w_den = math.lcm(*(x.denominator for x in wf))
+        w_int = [int(x * w_den) for x in wf]
+        # every bound is at most the largest scaled strength; a weighted
+        # sum that could leave int64 is evaluated on Python ints
+        big = lat.top * sum(abs(x) for x in w_int) >= 2**63
+        weights = np.array(w_int, dtype=object if big else np.int64)
+    else:
+        weights = np.asarray([float(x) for x in w])
+    best = max((b @ weights).max() for b in lat.iter_bounds(side))
+    if mode == "exact":
+        return Fraction(int(best), lat.scale * w_den)
     return float(best)

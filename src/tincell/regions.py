@@ -170,22 +170,21 @@ def polyhedral_region(
     return PolyhedralRegion(users=users, zero=zero, constraints=tuple(constraints))
 
 
-def contains(region: PolyhedralRegion, d: Sequence, tol=0) -> bool:
+def contains(region: PolyhedralRegion, d: Sequence) -> bool:
     """Membership test: d >= 0, zero-forced coordinates vanish, all
     constraints hold.
 
-    Comparisons are exact by default (rational inputs never round); pass
-    e.g. ``tol=1e-9`` when testing float tuples against the region.
+    Comparisons are exact: rational inputs never round.
     """
     if len(d) != len(region.users):
         raise DimensionMismatchError(f"tuple of length {len(d)}, expected {len(region.users)}")
     index = {u: i for i, u in enumerate(region.users)}
-    if any(x < -tol for x in d):
+    if any(x < 0 for x in d):
         return False
-    if any(abs(d[index[u]]) > tol for u in region.zero):
+    if any(abs(d[index[u]]) > 0 for u in region.zero):
         return False
     for c in region.constraints:
-        if sum(d[index[u]] for u in c.users) > c.bound + tol:
+        if sum(d[index[u]] for u in c.users) > c.bound:
             return False
     return True
 
@@ -211,6 +210,14 @@ def _all_subnetworks(net: ChannelStrengths):
     return everything
 
 
+def _union_regions(net: ChannelStrengths):
+    """Yield (order, subnetwork, region) over the whole union, built one at a
+    time: subnetworks in decreasing size, decode orders lexicographically."""
+    for subnet in _all_subnetworks(net):
+        for order in _all_suborders(subnet):
+            yield order, subnet, polyhedral_region(net, order, subnet)
+
+
 def tina_region_contains(
     net: ChannelStrengths, d: Sequence
 ) -> tuple[bool, Optional[tuple[dict, Subnetwork]]]:
@@ -221,11 +228,9 @@ def tina_region_contains(
     witness.  Cost grows with the product of per-cell factorials, so keep
     networks small.
     """
-    for subnet in _all_subnetworks(net):
-        for order in _all_suborders(subnet):
-            region = polyhedral_region(net, order, subnet)
-            if contains(region, d):
-                return True, (order, subnet)
+    for order, subnet, region in _union_regions(net):
+        if contains(region, d):
+            return True, (order, subnet)
     return False, None
 
 
@@ -270,14 +275,12 @@ def tina_max_weighted_sum(net: ChannelStrengths, w: Sequence):
     Returns (value, argmax, (order, subnetwork)); empty regions are skipped.
     """
     best = None
-    for subnet in _all_subnetworks(net):
-        for order in _all_suborders(subnet):
-            region = polyhedral_region(net, order, subnet)
-            if region.is_empty():
-                continue
-            value, arg = max_weighted_sum(region, w)
-            if best is None or value > best[0]:
-                best = (value, arg, (order, subnet))
+    for order, subnet, region in _union_regions(net):
+        if region.is_empty():
+            continue
+        value, arg = max_weighted_sum(region, w)
+        if best is None or value > best[0]:
+            best = (value, arg, (order, subnet))
     assert best is not None  # the empty subnetwork always yields the origin
     return best
 

@@ -17,10 +17,11 @@ from .regions import RegimeLabel, classify_regime, ia_sum_gdof
 from .strategies import SILENT, DecodingOrder, PowerAllocation, Strategy
 
 
-def _grid_value(rng: random.Random, lo: Fraction, hi: Fraction, denom: int = 100) -> Fraction:
-    a = int(lo * denom)
-    b = int(hi * denom)
-    return Fraction(rng.randint(a, b), denom)
+_MAX_TRIES = 20000
+
+
+def _grid_value(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+    return Fraction(rng.randint(int(lo * 100), int(hi * 100)), 100)
 
 
 def random_network(
@@ -46,43 +47,35 @@ def random_network(
     return ChannelStrengths.from_rows(K, list(L), rows)
 
 
-def random_dims(rng: random.Random, K_choices=(2, 3), L_max: int = 3):
-    K = rng.choice(list(K_choices))
-    return K, [rng.randint(1, L_max) for _ in range(K)]
+def random_dims(rng: random.Random):
+    """2 or 3 cells of 1 to 3 users each."""
+    K = rng.choice([2, 3])
+    return K, [rng.randint(1, 3) for _ in range(K)]
 
 
-def random_strategy(
-    rng: random.Random,
-    net: ChannelStrengths,
-    side: str,
-    silent_prob: float = 0.15,
-    depth: Fraction = Fraction(2),
-) -> Strategy:
-    """Uniform decode orders; exponents on the 1/20 grid in [-depth, 0],
-    with each user independently silenced with probability silent_prob."""
+def random_strategy(rng: random.Random, net: ChannelStrengths, side: str) -> Strategy:
+    """Uniform decode orders; exponents on the 1/20 grid in [-2, 0], with
+    each user independently silenced with probability 0.15."""
     pi = []
     for lk in net.L:
         perm = list(range(1, lk + 1))
         rng.shuffle(perm)
         pi.append(tuple(perm))
-    levels = int(depth * 20)
     r = []
     for lk in net.L:
         row = []
         for _ in range(lk):
-            if rng.random() < silent_prob:
+            if rng.random() < 0.15:
                 row.append(SILENT)
             else:
-                row.append(Fraction(-rng.randint(0, levels), 20))
+                row.append(Fraction(-rng.randint(0, 40), 20))
         r.append(tuple(row))
     return Strategy(side=side, order=DecodingOrder(tuple(pi)), power=PowerAllocation(tuple(r)))
 
 
-def sample_ctin_network(
-    rng: random.Random, K: int, L, max_tries: int = 20000
-) -> ChannelStrengths:
+def sample_ctin_network(rng: random.Random, K: int, L) -> ChannelStrengths:
     """Rejection-sample until the convex-regime conditions hold."""
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         net = random_network(
             rng,
             K,
@@ -95,9 +88,9 @@ def sample_ctin_network(
     raise RuntimeError("no convex-regime network found within the try budget")
 
 
-def sample_tin_network(rng: random.Random, K: int, L, max_tries: int = 20000) -> ChannelStrengths:
+def sample_tin_network(rng: random.Random, K: int, L) -> ChannelStrengths:
     """Rejection-sample until the strict (TIN-optimal) conditions hold."""
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         net = random_network(
             rng,
             K,
@@ -110,14 +103,14 @@ def sample_tin_network(rng: random.Random, K: int, L, max_tries: int = 20000) ->
     raise RuntimeError("no strict-regime network found within the try budget")
 
 
-def sample_ia_applicable_network(rng: random.Random, max_tries: int = 20000) -> ChannelStrengths:
+def sample_ia_applicable_network(rng: random.Random) -> ChannelStrengths:
     """2-cell (2, 1) network where the alignment gain is strictly positive.
 
     The proposal picks the stronger user's direct link so that both strict
     branch violations and the convex-regime margin hold by construction,
     then re-verifies with the real applicability check.
     """
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         a1 = _grid_value(rng, Fraction(4, 5), Fraction(6, 5))
         a2 = _grid_value(rng, Fraction(3, 10), Fraction(3, 5))
         b2 = _grid_value(rng, a2 / 2 + Fraction(1, 100), a2)

@@ -66,11 +66,6 @@ class PowerAllocation:
                     raise ValueError(f"user ({l + 1},{k + 1}): exponent {x} must be <= 0")
 
     @staticmethod
-    def uniform(L: Sequence[int], value=0) -> "PowerAllocation":
-        v = None if value is SILENT else as_fraction(value)
-        return PowerAllocation(tuple(tuple(v for _ in range(lk)) for lk in L))
-
-    @staticmethod
     def all_silent(L: Sequence[int]) -> "PowerAllocation":
         return PowerAllocation(tuple(tuple(SILENT for _ in range(lk)) for lk in L))
 

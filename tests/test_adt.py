@@ -180,7 +180,7 @@ def test_less_noisy_regime_guard():
 def test_q_cap_guard():
     params = AdtParams(3, 1, 9, 1)
     with pytest.raises(tc.PreconditionError):
-        tc.check_less_noisy(params, [AdtDistribution.uniform(9)], q_cap=8)
+        tc.check_less_noisy(params, [AdtDistribution.uniform(9)])
 
 
 def test_entropy_diff_uniform_and_random():

@@ -451,6 +451,16 @@ def test_adt_q_beyond_cap_is_refused_before_any_law_is_built(capsys):
     assert "exceeds the cap" in doc["error"]["message"]
 
 
+def test_adt_trials_beyond_the_mass_cap_are_refused_before_any_law_is_built(capsys):
+    # ten million trials at q = 4 would hold 3.2e8 masses as Python floats
+    start = time.perf_counter()
+    code, doc = invoke_json(capsys, "adt", "--params", "3,1,4,1", "--trials", "10000000")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert doc["error"]["type"] == "PreconditionError"
+    assert "over the cap" in doc["error"]["message"]
+
+
 _HUGE_EXPONENT = "1e-9999999"
 
 
@@ -615,3 +625,40 @@ def test_exact_reports_are_byte_identical(capsys, tmp_path, name):
         _, out = invoke(capsys, *argv)
         got[case] = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert got == _GOLDEN_SHA256[name]
+
+
+# --- one request path ---------------------------------------------------------
+
+
+def test_requests_in_one_process_share_no_state(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["classify"])
+    assert exc.value.code == 2
+    code, doc = invoke_json(capsys, "validate", "--net", str(tmp_path / "missing.json"))
+    assert code == 1 and doc["error"]["type"] == "TincellError"
+    argv = _golden_argvs(tmp_path, "netA")["classify"]
+    code, out = invoke(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _GOLDEN_SHA256["netA"]["classify"]
+
+
+def test_maxsum_reports_bad_weights_before_a_non_bijective_order(capsys, tmp_path, net_file):
+    order = tmp_path / "order.json"
+    order.write_text("[[1, 1], [1]]")
+    argv = ["maxsum", "--net", net_file, "--order", str(order)]
+    code, doc = invoke_json(capsys, *argv, "--weights", "1,1,1")
+    assert code == 1
+    assert doc["error"] == {"type": "ValueError", "message": "order for cell 1 is not a bijection onto its subset"}
+    code, doc = invoke_json(capsys, *argv, "--weights", "x,1,1")
+    assert code == 1
+    assert doc["error"]["type"] == "TincellError"
+    assert doc["error"]["message"].startswith("bad numeric list 'x,1,1'")
+
+
+def test_adt_report_keys(capsys):
+    code, doc = invoke_json(capsys, "adt", "--params", "3,1,4,1", "--trials", "3")
+    assert code == 0
+    assert set(doc) == {
+        "version", "inputs", "mode", "params", "trials", "min_slack", "passed", "worst_case_dist",
+    }
+    assert doc["inputs"] == {}
