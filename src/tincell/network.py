@@ -13,7 +13,9 @@ the README).
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,6 +158,21 @@ class ChannelStrengths:
 
     def max_strength(self) -> Fraction:
         return max(a for cell in self.alpha for row in cell for a in row)
+
+    @functools.cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+        """``(D, ints)``: ``D`` is the lcm of all strength denominators and
+        ``ints[k][l][i] == alpha[k][l][i] * D`` as Python ints.
+
+        Computed once per network object; equality, hashing and ``repr``
+        read the fields only, so the cached value never shows there.
+        """
+        D = math.lcm(*(a.denominator for cell in self.alpha for row in cell for a in row))
+        ints = tuple(
+            tuple(tuple(a.numerator * (D // a.denominator) for a in row) for row in cell)
+            for cell in self.alpha
+        )
+        return D, ints
 
     def floats(self) -> list[list[list[float]]]:
         """Float view of the tensor (derived on demand; storage stays exact)."""

@@ -84,20 +84,16 @@ class _Lattice:
             self.flat[(u.cell, u.slot)] = idx
         q = int(grid.depth / grid.step)
         if mode == "exact":
-            denoms = [a.denominator for cell in net.alpha for row in cell for a in row]
-            denoms.append(grid.step.denominator)
-            D = 1
-            for d in denoms:
-                D = D * d // math.gcd(D, d)
-                if D > _MAX_DENOMINATOR:
-                    raise PreconditionError(
-                        "strengths and grid step are not commensurate enough for "
-                        "exact mode; use float mode"
-                    )
+            net_scale, ints = net.scaled
+            D = math.lcm(net_scale, grid.step.denominator)
+            if D > _MAX_DENOMINATOR:
+                raise PreconditionError(
+                    "strengths and grid step are not commensurate enough for "
+                    "exact mode; use float mode"
+                )
             self.scale = D
-            self.alpha = [
-                [[int(a * D) for a in row] for row in cell] for cell in net.alpha
-            ]
+            f = D // net_scale
+            self.alpha = [[[a * f for a in row] for row in cell] for cell in ints]
             # largest strength, which also caps every bound
             self.top = max(a for cell in self.alpha for row in cell for a in row)
             levels = (-int(grid.step * D)) * np.arange(q + 1, dtype=np.int64)

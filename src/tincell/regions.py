@@ -5,11 +5,14 @@ constraints inside each participating cell and by cyclic multi-cell
 constraints indexed by cyclically ordered cell sequences.  Users outside
 the chosen subnetwork are zero-forced.  All bounds are exact rationals, so
 membership, regime classification and LP optima never depend on float
-rounding.
+rounding.  Cyclic bounds are summed as Python ints on the network's
+common-denominator lattice (:attr:`ChannelStrengths.scaled`) and divided
+back once, so they stay exact and equal to the rational sums.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -118,6 +121,12 @@ def cyclic_sequences(cells: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
+@functools.cache
+def _cycles(cells: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The cyclic sequences of length at least 2 over ``cells``."""
+    return tuple(seq for seq in cyclic_sequences(cells) if len(seq) >= 2)
+
+
 SubnetOrder = Mapping[int, tuple[int, ...]]
 
 
@@ -147,26 +156,30 @@ def polyhedral_region(
     users = net.users()
     zero = frozenset(users) - subnet.members()
     constraints = []
+    prefixes = {}
     for i in M:
         perm = order[i]
-        for l in range(1, len(perm) + 1):
-            group = frozenset(UserId(i, perm[s]) for s in range(l))
-            constraints.append(LinearConstraint(group, net.direct(i, perm[l - 1])))
+        prefixes[i] = tuple(
+            itertools.accumulate((frozenset((UserId(i, s),)) for s in perm), frozenset.union)
+        )
+        for group, top in zip(prefixes[i], perm):
+            constraints.append(LinearConstraint(group, net.direct(i, top)))
     if len(M) >= 2:
-        for seq in cyclic_sequences(M):
-            m = len(seq)
-            if m < 2:
-                continue
-            for lengths in itertools.product(*(range(1, len(order[i]) + 1) for i in seq)):
-                group = set()
-                bound = Fraction(0)
-                for j, i in enumerate(seq):
-                    prev = seq[j - 1]  # wraps: predecessor of seq[0] is seq[-1]
-                    l_i = lengths[j]
-                    top = order[i][l_i - 1]
-                    group.update(UserId(i, order[i][s]) for s in range(l_i))
-                    bound += net.direct(i, top) - net.strength(i, top, prev)
-                constraints.append(LinearConstraint(frozenset(group), bound))
+        D, ints = net.scaled
+        for seq in _cycles(M):
+            # per position: (prefix group, scaled margin against the predecessor)
+            choices = [
+                [
+                    (group, ints[i - 1][top - 1][i - 1] - ints[i - 1][top - 1][prev - 1])
+                    for group, top in zip(prefixes[i], order[i])
+                ]
+                for i, prev in zip(seq, seq[-1:] + seq[:-1])
+            ]
+            for picks in itertools.product(*choices):
+                groups, margins = zip(*picks)
+                constraints.append(
+                    LinearConstraint(groups[0].union(*groups[1:]), Fraction(sum(margins), D))
+                )
     return PolyhedralRegion(users=users, zero=zero, constraints=tuple(constraints))
 
 
@@ -226,7 +239,10 @@ def tina_region_contains(
     Subnetworks are tried in decreasing size and decode orders
     lexicographically; the first containing (order, subnetwork) pair is the
     witness.  Cost grows with the product of per-cell factorials, so keep
-    networks small.
+    networks small: a miss builds every region, which took about 4 ms for
+    L = (2, 2, 1), 35 ms for (3, 2, 2), 0.14 s for (3, 3, 2) and for
+    (2, 2, 2, 2), and 0.75 s for (3, 3, 3) on a shared 2-core VM under
+    Python 3.11.
     """
     for order, subnet, region in _union_regions(net):
         if contains(region, d):

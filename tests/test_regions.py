@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tincell as tc
-from tincell.regions import _all_suborders, _all_subnetworks
+import tincell.regions
+from tincell.network import parse_decimal
+from tincell.regions import _all_suborders, _all_subnetworks, _union_regions
+from tincell.sampling import random_network
 
 from conftest import mknet, nets
 
@@ -104,6 +107,129 @@ def test_cyclic_constraint_count_formula(net):
                 prod *= net.L[i - 1]
             expected_cyclic += prod
     assert len(region.constraints) == single + expected_cyclic
+
+
+def _reference_polyhedral_region(net, order, subnet):
+    """The Fraction-summing builder that the integer-lattice one replaced."""
+    if len(subnet.slots_by_cell) != net.K or any(
+        slots and slots[-1] > net.L[k] for k, slots in enumerate(subnet.slots_by_cell)
+    ):
+        raise tc.DimensionMismatchError("subnetwork does not fit the network")
+    M = subnet.cells()
+    for i in M:
+        if i not in order or sorted(order[i]) != list(subnet.slots(i)):
+            raise ValueError(f"order for cell {i} is not a bijection onto its subset")
+    users = net.users()
+    zero = frozenset(users) - subnet.members()
+    constraints = []
+    for i in M:
+        perm = order[i]
+        for l in range(1, len(perm) + 1):
+            group = frozenset(tc.UserId(i, perm[s]) for s in range(l))
+            constraints.append(tc.LinearConstraint(group, net.direct(i, perm[l - 1])))
+    if len(M) >= 2:
+        for seq in tc.cyclic_sequences(M):
+            m = len(seq)
+            if m < 2:
+                continue
+            for lengths in itertools.product(*(range(1, len(order[i]) + 1) for i in seq)):
+                group = set()
+                bound = Fraction(0)
+                for j, i in enumerate(seq):
+                    prev = seq[j - 1]  # wraps: predecessor of seq[0] is seq[-1]
+                    l_i = lengths[j]
+                    top = order[i][l_i - 1]
+                    group.update(tc.UserId(i, order[i][s]) for s in range(l_i))
+                    bound += net.direct(i, top) - net.strength(i, top, prev)
+                constraints.append(tc.LinearConstraint(frozenset(group), bound))
+    return tc.PolyhedralRegion(users=users, zero=zero, constraints=tuple(constraints))
+
+
+def _general_net(shape):
+    """First GENERAL net of ``shape`` from seed 0, with cross links at most 1."""
+    rng = random.Random(0)
+    while True:
+        net = random_network(rng, len(shape), shape, cross_range=(Fraction(0), Fraction(1)))
+        if tc.classify_regime(net) is tc.RegimeLabel.GENERAL:
+            return net
+
+
+# strengths with unlike denominators: thirds, sevenths, eighths and a 10^900 one
+_TINY = parse_decimal("1e-900")
+MIXED_NETS = [
+    mknet([[[Fraction(1, 3), Fraction(2, 7)], [1.125, _TINY]], [[0.125, Fraction(5, 3)]]]),
+    mknet([
+        [[Fraction(2, 7), Fraction(1, 3), 0.125], [Fraction(4, 3), _TINY, Fraction(6, 7)]],
+        [[0.125, Fraction(9, 7), Fraction(1, 3)], [Fraction(1, 3), Fraction(11, 8), _TINY]],
+        [[Fraction(2, 7), 0.125, 1 + _TINY]],
+    ]),
+    # slots given in descending direct strength, then sorted
+    tc.canonicalize(mknet([
+        [[Fraction(5, 3), Fraction(1, 7), 0.125], [Fraction(2, 7), Fraction(1, 3), _TINY]],
+        [[0.125, Fraction(8, 7), Fraction(1, 3)]],
+        [[Fraction(1, 3), Fraction(2, 7), Fraction(3, 8)], [_TINY, 0.125, Fraction(1, 3)]],
+    ]))[0],
+]
+SEEDED_NETS = [random_network(random.Random(seed), len(shape), shape)
+               for seed, shape in enumerate([(2, 1), (2, 2, 1), (3, 2, 2), (2, 2, 2, 2)])]
+
+
+@pytest.mark.parametrize(
+    "net", SEEDED_NETS + MIXED_NETS,
+    ids=["seeded-21", "seeded-221", "seeded-322", "seeded-2222", "mixed-21", "mixed-221", "canonical-212"],
+)
+def test_region_builder_matches_reference_on_every_union_region(net):
+    for order, subnet, region in _union_regions(net):
+        ref = _reference_polyhedral_region(net, order, subnet)
+        assert region.users == ref.users and region.zero == ref.zero
+        assert region.constraints == ref.constraints
+        for c, r in zip(region.constraints, ref.constraints):
+            assert type(c.bound) is Fraction and repr(c.bound) == repr(r.bound)
+
+
+def test_scaled_view_is_exact_and_leaves_identity_alone():
+    net = MIXED_NETS[0]
+    before = (repr(net), hash(net))
+    D, ints = net.scaled
+    assert D == 3 * 7 * 10**900  # 8 divides 10**900
+    assert net.scaled is net.scaled
+    for cell, icell in zip(net.alpha, ints):
+        for row, irow in zip(cell, icell):
+            assert all(type(x) is int and x == a * D for a, x in zip(row, irow))
+    assert (repr(net), hash(net)) == before and net == MIXED_NETS[0]
+
+
+def _counting(monkeypatch, builder):
+    calls = []
+
+    def build(net, order, subnet):
+        calls.append((order, subnet))
+        return builder(net, order, subnet)
+
+    monkeypatch.setattr(tincell.regions, "polyhedral_region", build)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2), (2, 2, 2, 2)])
+def test_union_search_builds_the_same_regions_in_the_same_order(monkeypatch, shape):
+    net = _general_net(shape)
+    candidates = [(order, subnet) for subnet in _all_subnetworks(net) for order in _all_suborders(subnet)]
+    calls = _counting(monkeypatch, tc.polyhedral_region)
+    assert tc.tina_region_contains(net, [3] * net.n_users) == (False, None)
+    assert calls == candidates  # a miss builds every region once
+    # hits: the sum-maximizing vertex of the first nonempty region from half
+    # and three quarters of the search on; a vertex lies on that region's
+    # boundary, and an earlier region may hold it too
+    for start in (len(candidates) // 2, 3 * len(candidates) // 4):
+        for order, subnet in candidates[start:]:
+            region = tc.polyhedral_region(net, order, subnet)
+            if not region.is_empty() and any(d := tc.max_weighted_sum(region, [1] * net.n_users)[1]):
+                break
+        _counting(monkeypatch, _reference_polyhedral_region)
+        expected = tc.tina_region_contains(net, d)
+        calls = _counting(monkeypatch, tc.polyhedral_region)
+        assert tc.tina_region_contains(net, d) == expected
+        assert expected[0] and calls == candidates[: candidates.index(expected[1]) + 1]
 
 
 # --- membership -------------------------------------------------------------
