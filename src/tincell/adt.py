@@ -7,8 +7,16 @@ strength, so y = (x1 >> (q - s1)) XOR (x2 >> (q - s2)) with independent
 inputs.  XOR with a fixed value is a bijection, so H(y | x1) is the entropy
 of the interference image, and the law of y is the XOR-convolution of the
 two image laws: one Walsh-Hadamard transform product, O(q 2^q) per input
-distribution.  The two check functions below take whole batches of
-distributions at once, as (n, 2^q) arrays:
+distribution.
+
+One batched pass serves both receivers for n distributions at once, in
+the two checks and in the single-distribution helpers alike.  The four
+images (signal and interference, at a and at b) are stacked into one
+(4n, 2^q) array; one butterfly transforms all four, the elementwise
+products are inverted by one more butterfly over the (2n, 2^q) output
+laws, and one entropy pass validates and measures those laws.  H(y | x1)
+is taken only where it is read: by ``check_less_noisy`` and the
+single-distribution helpers.  The two checks:
 
 * ``check_less_noisy``  — receiver b learns at least as much about x1 as
   receiver a whenever its interference-free headroom covers the whole of
@@ -20,6 +28,7 @@ distributions at once, as (n, 2^q) arrays:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -138,11 +147,10 @@ class AdtDistribution:
 
     @staticmethod
     def point(q: int, v1: int, v2: int) -> "AdtDistribution":
-        p1 = [0.0] * (1 << q)
-        p2 = [0.0] * (1 << q)
-        p1[v1] = 1.0
-        p2[v2] = 1.0
-        return AdtDistribution(tuple(p1), tuple(p2))
+        if not (0 <= v1 < 1 << q and 0 <= v2 < 1 << q):
+            raise ValueError(f"point values must lie in [0, 2^q) = [0, {1 << q})")
+        zeros = (0.0,) * (1 << q)
+        return AdtDistribution(*(zeros[:v] + (1.0,) + zeros[v + 1 :] for v in (v1, v2)))
 
     @staticmethod
     def product_bernoulli(theta1: Sequence[float], theta2: Sequence[float]) -> "AdtDistribution":
@@ -161,58 +169,70 @@ def _product_laws(theta: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def _stack(params: AdtParams, dists: Sequence[AdtDistribution]):
-    """The batch's marginals as two (n, 2^q) arrays."""
-    shape = (len(dists), 1 << params.q)
-    if any(len(d.p1) != shape[1] for d in dists):
-        raise ValueError(f"every distribution must have q = {params.q}")
-    return np.reshape([d.p1 for d in dists], shape), np.reshape([d.p2 for d in dists], shape)
+def _wht(a: np.ndarray, b: np.ndarray):
+    """Unnormalised Walsh-Hadamard transform of every row of ``a``.
+
+    Each butterfly stage writes into the other buffer of the same shape, so
+    both are overwritten: returns (the buffer holding the result, the other).
+    """
+    m, size = a.shape
+    for h in (1 << k for k in range(size.bit_length() - 1)):
+        x, y = a.reshape(m, size // (2 * h), 2, h), b.reshape(m, size // (2 * h), 2, h)
+        np.add(x[:, :, 0], x[:, :, 1], out=y[:, :, 0])
+        np.subtract(x[:, :, 0], x[:, :, 1], out=y[:, :, 1])
+        a, b = b, a
+    return a, b
 
 
-def _image(p: np.ndarray, s: int) -> np.ndarray:
-    """Row laws of x >> (q - s), still over all 2^q columns."""
-    n, size = p.shape
-    img = p.reshape(n, 1 << s, size >> s).sum(axis=2)
-    return np.pad(img, ((0, 0), (0, size - (1 << s))))
-
-
-def _wht(a: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform of every row (length 2^q)."""
-    n, size = a.shape
-    h = 1
-    while h < size:
-        a = a.reshape(n, size // (2 * h), 2, h)
-        a = np.stack((a[:, :, 0] + a[:, :, 1], a[:, :, 0] - a[:, :, 1]), axis=2)
-        h *= 2
-    return a.reshape(n, size)
-
-
-def _entropies(params: AdtParams, p1: np.ndarray, p2: np.ndarray, receiver: str):
-    """Rows of H(y) and of H(y | x1) at receiver 'a' or 'b'.
+def _entropies(params: AdtParams, dists: Sequence[AdtDistribution], conditional: bool = False):
+    """(H(y), H(y | x1) or None): (2, n) rows each, receiver a then b.
 
     y is the XOR of the x1 image and the interference image: its law is
     their XOR-convolution, and given x1 it relabels the interference image.
+    The marginals are read in one pass, every p1 then every p2.  The image
+    of x at strength s, the law of x >> (q - s), fills the first 2^s columns
+    of a zeroed row; the row blocks are signal a, signal b, interference a,
+    interference b.  H(y | x1) is measured only if ``conditional``, and
+    before the butterflies, which overwrite the images.
     """
-    s1, s2 = (params.m1, params.m2) if receiver == "a" else (params.n1, params.n2)
-    signal, interf = _image(p1, s1), _image(p2, s2)
-    law = _wht(_wht(signal) * _wht(interf)) / p1.shape[1]
-    return _entropy_rows(law), _entropy_rows(interf)
+    n, size = len(dists), 1 << params.q
+    if any(len(d.p1) != size for d in dists):
+        raise ValueError(f"every distribution must have q = {params.q}")
+    masses = chain.from_iterable(chain([d.p1 for d in dists], [d.p2 for d in dists]))
+    p = np.fromiter(masses, np.float64, count=2 * n * size).reshape(2, n, size)
+    images = np.zeros((4 * n, size))
+    for k, s in enumerate((params.m1, params.n1, params.m2, params.n2)):
+        images[k * n : (k + 1) * n, : 1 << s] = p[k // 2].reshape(n, 1 << s, size >> s).sum(axis=2)
+    h_cond = _entropy_rows(images[2 * n :]).reshape(2, n) if conditional else None
+    spectra, spare = _wht(images, np.empty_like(images))
+    laws = np.multiply(spectra[: 2 * n], spectra[2 * n :], out=spectra[: 2 * n])
+    return _entropy_rows(_wht(laws, spare[: 2 * n])[0] / size).reshape(2, n), h_cond
+
+
+def _receiver(receiver: str) -> int:
+    """Row of receiver 'a' or 'b' in the (2, n) entropy arrays."""
+    if receiver not in ("a", "b"):
+        raise ValueError(f"receiver must be 'a' or 'b', got {receiver!r}")
+    return 0 if receiver == "a" else 1
 
 
 def interference_image_entropy(params: AdtParams, dist: AdtDistribution, receiver: str) -> float:
     """H of the shifted interference seen at the receiver (H(y | x1))."""
-    return float(_entropies(params, *_stack(params, [dist]), receiver)[1][0])
+    r = _receiver(receiver)
+    return float(_entropies(params, [dist], conditional=True)[1][r, 0])
 
 
 def mutual_information_x1(params: AdtParams, dist: AdtDistribution, receiver: str) -> float:
     """Exact I(x1; y) at receiver 'a' or 'b'."""
-    h_y, h_cond = _entropies(params, *_stack(params, [dist]), receiver)
-    return float(h_y[0] - h_cond[0])
+    r = _receiver(receiver)
+    h_y, h_cond = _entropies(params, [dist], conditional=True)
+    return float(h_y[r, 0] - h_cond[r, 0])
 
 
 def output_entropy(params: AdtParams, dist: AdtDistribution, receiver: str) -> float:
     """Exact H(y) at receiver 'a' or 'b'."""
-    return float(_entropies(params, *_stack(params, [dist]), receiver)[0][0])
+    r = _receiver(receiver)
+    return float(_entropies(params, [dist])[0][r, 0])
 
 
 @dataclass(frozen=True)
@@ -238,13 +258,6 @@ def require_q_cap(params: AdtParams) -> None:
         )
 
 
-def _batch_entropies(params: AdtParams, dists: Sequence[AdtDistribution]):
-    """Rows of (H(y), H(y | x1)) at receiver a, then at receiver b."""
-    require_q_cap(params)
-    p1, p2 = _stack(params, dists)
-    return _entropies(params, p1, p2, "a"), _entropies(params, p1, p2, "b")
-
-
 def _report(mode: str, params: AdtParams, slack: np.ndarray) -> AdtCheckReport:
     """Report the smallest slack and the first index attaining it."""
     if slack.size == 0:
@@ -261,7 +274,8 @@ def check_less_noisy(params: AdtParams, dists: Sequence[AdtDistribution]) -> Adt
     """
     if params.n1 - params.n2 < params.m1:
         raise PreconditionError("requires n1 - n2 >= m1")
-    (ha, ca), (hb, cb) = _batch_entropies(params, dists)
+    require_q_cap(params)
+    (ha, hb), (ca, cb) = _entropies(params, dists, conditional=True)
     return _report("lessnoisy", params, (hb - cb) - (ha - ca))
 
 
@@ -273,7 +287,8 @@ def check_entropy_diff(params: AdtParams, dists: Sequence[AdtDistribution]) -> A
     """
     if params.n1 - 2 * params.n2 < params.m1 - params.m2 or params.n2 > params.m2:
         raise PreconditionError("requires n1 - 2*n2 >= m1 - m2 and n2 <= m2")
-    (ha, _), (hb, _) = _batch_entropies(params, dists)
+    require_q_cap(params)
+    (ha, hb), _ = _entropies(params, dists)
     return _report("entropydiff", params, (params.m2 - params.n2) - (ha - hb))
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import json
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import tincell as tc
 from tincell.adt import (
     AdtDistribution,
     AdtParams,
+    _entropy_rows,
+    _report,
     bits_to_int,
     downshift,
     int_to_bits,
@@ -17,7 +21,9 @@ from tincell.adt import (
     random_product_dists,
     random_table_dists,
     regime_params,
+    require_q_cap,
 )
+from tincell.cli import run
 
 
 # --- channel mechanics -------------------------------------------------------
@@ -353,3 +359,146 @@ def test_distribution_rejects_non_finite_mass(bad):
 def test_distribution_q_must_match_params():
     with pytest.raises(ValueError):
         tc.check_less_noisy(AdtParams(3, 1, 4, 1), [AdtDistribution.uniform(3)])
+
+
+@pytest.mark.parametrize("v1, v2", [(-1, 0), (0, -1), (16, 0), (0, 16), (-17, 3)])
+def test_point_rejects_values_outside_the_columns(v1, v2):
+    with pytest.raises(ValueError):
+        AdtDistribution.point(4, v1, v2)
+
+
+@pytest.mark.parametrize("helper", [interference_image_entropy, mutual_information_x1, output_entropy])
+@pytest.mark.parametrize("receiver", ["c", "", "A", "ab"])
+def test_helpers_reject_unknown_receivers(helper, receiver):
+    with pytest.raises(ValueError):
+        helper(AdtParams(3, 1, 4, 1), AdtDistribution.uniform(4), receiver)
+
+
+# --- the per-receiver transform as the reference ---------------------------------
+#
+# The checker before the batched pass, kept verbatim: one receiver at a time,
+# np.pad images and an np.stack butterfly.  The batched pass gives every
+# element the same operands in the same order, so the slacks agree bit for bit.
+
+
+def _stack(params: AdtParams, dists: Sequence[AdtDistribution]):
+    """The batch's marginals as two (n, 2^q) arrays."""
+    shape = (len(dists), 1 << params.q)
+    if any(len(d.p1) != shape[1] for d in dists):
+        raise ValueError(f"every distribution must have q = {params.q}")
+    return np.reshape([d.p1 for d in dists], shape), np.reshape([d.p2 for d in dists], shape)
+
+
+def _image(p: np.ndarray, s: int) -> np.ndarray:
+    """Row laws of x >> (q - s), still over all 2^q columns."""
+    n, size = p.shape
+    img = p.reshape(n, 1 << s, size >> s).sum(axis=2)
+    return np.pad(img, ((0, 0), (0, size - (1 << s))))
+
+
+def _wht(a: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform of every row (length 2^q)."""
+    n, size = a.shape
+    h = 1
+    while h < size:
+        a = a.reshape(n, size // (2 * h), 2, h)
+        a = np.stack((a[:, :, 0] + a[:, :, 1], a[:, :, 0] - a[:, :, 1]), axis=2)
+        h *= 2
+    return a.reshape(n, size)
+
+
+def _entropies(params: AdtParams, p1: np.ndarray, p2: np.ndarray, receiver: str):
+    """Rows of H(y) and of H(y | x1) at receiver 'a' or 'b'.
+
+    y is the XOR of the x1 image and the interference image: its law is
+    their XOR-convolution, and given x1 it relabels the interference image.
+    """
+    s1, s2 = (params.m1, params.m2) if receiver == "a" else (params.n1, params.n2)
+    signal, interf = _image(p1, s1), _image(p2, s2)
+    law = _wht(_wht(signal) * _wht(interf)) / p1.shape[1]
+    return _entropy_rows(law), _entropy_rows(interf)
+
+
+def _batch_entropies(params: AdtParams, dists: Sequence[AdtDistribution]):
+    """Rows of (H(y), H(y | x1)) at receiver a, then at receiver b."""
+    require_q_cap(params)
+    p1, p2 = _stack(params, dists)
+    return _entropies(params, p1, p2, "a"), _entropies(params, p1, p2, "b")
+
+
+def _reference_report(mode, params, dists):
+    (ha, ca), (hb, cb) = _batch_entropies(params, dists)
+    if mode == "lessnoisy":
+        return _report(mode, params, (hb - cb) - (ha - ca))
+    return _report(mode, params, (params.m2 - params.n2) - (ha - hb))
+
+
+def _assert_same_report(mode, params, dists):
+    check = tc.check_less_noisy if mode == "lessnoisy" else tc.check_entropy_diff
+    report, ref = check(params, dists), _reference_report(mode, params, dists)
+    assert (report.min_slack.hex(), report.worst_index) == (ref.min_slack.hex(), ref.worst_index), params
+    assert report == ref
+
+
+def _c11_batch(params, rng):
+    size = 1 << params.q
+    batch = [AdtDistribution.uniform(params.q)] + random_product_dists(params.q, 30, rng)
+    batch += [AdtDistribution.point(params.q, int(rng.integers(size)), int(rng.integers(size)))
+              for _ in range(10)]
+    return batch
+
+
+def test_c11_sweep_slacks_match_the_reference_bit_for_bit():
+    for j, params in enumerate(regime_params(6, "entropydiff")):
+        _assert_same_report("entropydiff", params, _c11_batch(params, np.random.default_rng([1, j])))
+
+
+def test_less_noisy_slacks_match_the_reference_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for params in regime_params(5, "lessnoisy"):
+        q, size = params.q, 1 << params.q
+        dists = [AdtDistribution.uniform(q)]
+        dists += random_product_dists(q, 4, rng) + random_table_dists(q, 4, rng)
+        dists += [
+            AdtDistribution.point(q, int(rng.integers(size)), int(rng.integers(size)))
+            for _ in range(3)
+        ]
+        _assert_same_report("lessnoisy", params, dists)
+        # each law alone too, so a wrong row cannot hide behind the batch minimum
+        for dist in (dists[1], dists[5]):
+            _assert_same_report("lessnoisy", params, [dist])
+
+
+@pytest.mark.parametrize("mode, params", [
+    ("lessnoisy", AdtParams(3, 1, 4, 1)),
+    ("entropydiff", AdtParams(4, 2, 4, 1)),
+])
+def test_empty_batch_matches_the_reference(mode, params):
+    _assert_same_report(mode, params, [])
+
+
+def test_single_distribution_helpers_match_the_reference_bit_for_bit():
+    rng = np.random.default_rng(16)
+    cases = (AdtParams(3, 1, 4, 1), AdtParams(4, 2, 4, 1), AdtParams(2, 0, 5, 2), AdtParams(1, 1, 1, 0))
+    for params in cases:
+        q = params.q
+        dists = [AdtDistribution.uniform(q), AdtDistribution.point(q, 1, (1 << q) - 1)]
+        dists += random_product_dists(q, 2, rng) + random_table_dists(q, 2, rng)
+        for dist, receiver in itertools.product(dists, "ab"):
+            h_y, h_cond = _entropies(params, *_stack(params, [dist]), receiver)
+            assert output_entropy(params, dist, receiver).hex() == float(h_y[0]).hex()
+            assert interference_image_entropy(params, dist, receiver).hex() == float(h_cond[0]).hex()
+            assert mutual_information_x1(params, dist, receiver).hex() == float(h_y[0] - h_cond[0]).hex()
+
+
+@pytest.mark.parametrize("mode, params", [("lessnoisy", "3,1,4,1"), ("entropydiff", "4,2,4,1")])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_cli_adt_reports_match_the_reference_bit_for_bit(capsys, mode, params, seed):
+    assert run(["adt", "--params", params, "--mode", mode, "--trials", "1000", "--seed", str(seed)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    p = AdtParams(*(int(x) for x in params.split(",")))
+    dists = [AdtDistribution.uniform(p.q)] + random_product_dists(p.q, 1000, np.random.default_rng(seed))
+    ref = _reference_report(mode, p, dists)
+    assert doc["min_slack"].hex() == ref.min_slack.hex()
+    worst = dists[ref.worst_index]
+    assert doc["worst_case_dist"] == {"p1": list(worst.p1), "p2": list(worst.p2)}
