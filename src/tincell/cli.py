@@ -67,7 +67,9 @@ def _parse_list(text: str) -> list[Fraction]:
 
 
 def _emit(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
+    """Write one JSON report line; a NaN or infinite value raises ValueError
+    before anything is written."""
+    sys.stdout.write(json.dumps(report, sort_keys=True, allow_nan=False) + "\n")
 
 
 class _Inputs:
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("bounds", _cmd_bounds, net=net_flag, strategy={"required": True})
     add(
         "rates", _cmd_rates, net=net_flag, strategy={"required": True},
-        pnominal={"required": True, "type": float, "help": "nominal power P > 1"},
+        pnominal={"required": True, "type": float, "help": "nominal power, 1 < P < inf"},
     )
     add("dualize", _cmd_dualize, net=net_flag, strategy={"required": True})
     oracle_p = add(
@@ -333,14 +335,14 @@ def run(argv=None) -> int:
     try:
         net = inputs.net(args.net) if "net" in args else None
         payload = args.fn(args, inputs, net)
+        if payload is not None:
+            _emit(inputs.envelope(payload))
     except (TincellError, ValueError, ArithmeticError) as exc:
         _emit({
             "version": __version__,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         })
         return 1
-    if payload is not None:
-        _emit(inputs.envelope(payload))
     return 0
 
 

@@ -20,7 +20,7 @@ from .strategies import (
     DecodingOrder,
     PowerAllocation,
     Strategy,
-    check_dimensions,
+    _on_lattice,
     gamma_ibc,
     gamma_imac,
 )
@@ -70,10 +70,14 @@ def dualize_imac_to_ibc(
     return _negated_gamma(power, gamma_imac(net, order, power))
 
 
-def _received_power(net: ChannelStrengths, power: PowerAllocation, k: int, slot: int):
-    """``direct + r`` of user ``slot`` of cell ``k``; ``-inf`` when SILENT."""
-    x = power.of(k, slot)
-    return NEG_INF if x is SILENT else net.direct(k, slot) + x
+def _received_chains(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocation):
+    """Per cell, its decode chain as ``(slot, received power)`` pairs on the
+    strategy's integer lattice; a SILENT user receives ``-inf``."""
+    _, ints, r = _on_lattice(net, order, power)
+    return [
+        [(s, NEG_INF if r[k0][s - 1] is SILENT else ints[k0][s - 1][k0] + r[k0][s - 1]) for s in perm]
+        for k0, perm in enumerate(order.pi)
+    ]
 
 
 def satisfies_received_power_order(
@@ -85,12 +89,11 @@ def satisfies_received_power_order(
     plus its exponent, with SILENT counting as ``-inf`` (so SILENT users may
     only sit at the front of the chain).
     """
-    check_dimensions(net, order, power)
-    for k, perm in enumerate(order.pi, start=1):
-        received = [_received_power(net, power, k, slot) for slot in perm]
-        if any(b < a for a, b in zip(received, received[1:])):
-            return False
-    return True
+    return all(
+        b >= a
+        for chain in _received_chains(net, order, power)
+        for (_, a), (_, b) in zip(chain, chain[1:])
+    )
 
 
 def normalize_imac_strategy(
@@ -109,14 +112,12 @@ def normalize_imac_strategy(
     The result is deterministic and idempotent, and satisfies
     :func:`satisfies_received_power_order`.
     """
-    check_dimensions(net, order, power)
     pi, r = [], []
-    for k, perm in enumerate(order.pi, start=1):
-        row = list(power.r[k - 1])
+    for cell, chain in zip(power.r, _received_chains(net, order, power)):
+        row = list(cell)
         silenced, kept = [], []
         top = NEG_INF
-        for slot in perm:
-            p = _received_power(net, power, k, slot)
+        for slot, p in chain:
             if row[slot - 1] is not SILENT and p >= top:
                 kept.append(slot)
                 top = p
@@ -139,7 +140,7 @@ class DualizationReport:
 
     def __post_init__(self):
         for cell in self.output_strategy.power.r:
-            assert all(x is SILENT or x <= 0 for x in cell)
+            assert all(x is SILENT or x.numerator <= 0 for x in cell)
 
 
 def dualize(net: ChannelStrengths, strategy: Strategy) -> DualizationReport:

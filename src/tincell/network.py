@@ -174,6 +174,18 @@ class ChannelStrengths:
         )
         return D, ints
 
+    def lattice(self, *denominators: int) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+        """``(E, ints)`` with ``E = lcm(D, *denominators)`` and the strengths
+        times ``E`` as Python ints, so that values with those denominators
+        join the strengths on one integer lattice.  When ``E == D`` this is
+        :attr:`scaled` itself."""
+        D, ints = self.scaled
+        E = math.lcm(D, *denominators)
+        if E == D:
+            return D, ints
+        f = E // D
+        return E, tuple(tuple(tuple(a * f for a in row) for row in cell) for cell in ints)
+
     def floats(self) -> list[list[list[float]]]:
         """Float view of the tensor (derived on demand; storage stays exact)."""
         return [[[float(a) for a in row] for row in cell] for cell in self.alpha]

@@ -84,16 +84,13 @@ class _Lattice:
             self.flat[(u.cell, u.slot)] = idx
         q = int(grid.depth / grid.step)
         if mode == "exact":
-            net_scale, ints = net.scaled
-            D = math.lcm(net_scale, grid.step.denominator)
+            D, self.alpha = net.lattice(grid.step.denominator)
             if D > _MAX_DENOMINATOR:
                 raise PreconditionError(
                     "strengths and grid step are not commensurate enough for "
                     "exact mode; use float mode"
                 )
             self.scale = D
-            f = D // net_scale
-            self.alpha = [[[a * f for a in row] for row in cell] for cell in ints]
             # largest strength, which also caps every bound
             self.top = max(a for cell in self.alpha for row in cell for a in row)
             levels = (-int(grid.step * D)) * np.arange(q + 1, dtype=np.int64)
@@ -225,15 +222,16 @@ def grid_achievable_points(
     at 1e-12.
     """
     lat = _lattice(net, side, grid, mode, budget)
-    points = set()
+    chunks = []
     for b in lat.iter_bounds(side):
         if mode == "float":
             b = np.round(b / 1e-12) * 1e-12
-        points.update(map(tuple, _distinct_rows(b).tolist()))
+        chunks.append(_distinct_rows(b))
+    columns = _distinct_rows(np.concatenate(chunks)).T.tolist()
     if mode == "exact":
-        frac = {v: Fraction(v, lat.scale) for v in {v for p in points for v in p}}
-        return {tuple(frac[v] for v in p) for p in points}
-    return points
+        frac = {v: Fraction(v, lat.scale) for v in set().union(*columns)}
+        columns = [[frac[v] for v in col] for col in columns]
+    return set(zip(*columns))
 
 
 def _distinct_rows(b: np.ndarray) -> np.ndarray:

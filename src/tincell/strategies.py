@@ -14,6 +14,15 @@ contributes ``-inf`` wherever its power exponent would appear.
 
 Per-user results (effective levels, GDoF bounds, SINRs) are returned as
 tuples aligned with ``net.users()`` (cells ascending, slots ascending).
+
+Exponents are read exactly: ints and Fractions as given, anything else
+(a float goes through its decimal text) with ``as_fraction``.  Levels and
+bounds are evaluated on one integer lattice: with ``E`` the lcm of the
+strength and exponent denominators, every strength and exponent is an int
+multiple of ``1/E``, and each max, add and clip runs on those ints.  Only
+the results become ``Fraction(n, E)``: every downlink level, every uplink
+level above the noise floor (a clipped one is the int 0), and every
+positive bound (a zero bound is one shared ``Fraction(0)``).
 """
 
 from __future__ import annotations
@@ -55,14 +64,24 @@ class DecodingOrder:
 @dataclass(frozen=True)
 class PowerAllocation:
     """Per-user power exponents, nested like the strength tensor:
-    ``r[k][l]`` is the exponent of user ``(l + 1, k + 1)`` or ``SILENT``."""
+    ``r[k][l]`` is the exponent of user ``(l + 1, k + 1)`` or ``SILENT``.
+
+    Ints and Fractions are kept as given; any other exponent is read with
+    :func:`~tincell.network.as_fraction` (a float through its decimal text).
+    """
 
     r: tuple[tuple[PowerExponent, ...], ...]
 
     def __post_init__(self):
-        for k, cell in enumerate(self.r):
+        r = tuple(
+            tuple(x if x is SILENT or type(x) is int or isinstance(x, Fraction) else as_fraction(x)
+                  for x in cell)
+            for cell in self.r
+        )
+        object.__setattr__(self, "r", r)
+        for k, cell in enumerate(r):
             for l, x in enumerate(cell):
-                if x is not SILENT and x > 0:
+                if x is not SILENT and x.numerator > 0:
                     raise ValueError(f"user ({l + 1},{k + 1}): exponent {x} must be <= 0")
 
     @staticmethod
@@ -93,31 +112,88 @@ class FiniteSnrConfig:
     P: float
 
     def __post_init__(self):
-        if not self.P > 1:
-            raise ValueError("nominal power P must exceed 1")
+        if not 1 < self.P < math.inf:
+            raise ValueError("nominal power P must exceed 1 and be finite")
 
 
 def check_dimensions(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocation) -> None:
-    if tuple(len(p) for p in order.pi) != net.L:
+    if tuple(map(len, order.pi)) != net.L:
         raise DimensionMismatchError(f"order shape {[len(p) for p in order.pi]} != L {list(net.L)}")
-    if tuple(len(c) for c in power.r) != net.L:
+    if tuple(map(len, power.r)) != net.L:
         raise DimensionMismatchError(f"power shape {[len(c) for c in power.r]} != L {list(net.L)}")
 
 
-def _cross_interference(net: ChannelStrengths, power: PowerAllocation, k0: int, obs_slot: int):
-    """max over out-of-cell users (l_j, j) of alpha_kj[obs] + r_j[l_j] (downlink)."""
-    best = NEG_INF
-    row = net.alpha[k0][obs_slot - 1]
-    for j0 in range(net.K):
-        if j0 == k0:
-            continue
-        for x in power.r[j0]:
-            if x is SILENT:
-                continue
-            v = row[j0] + x
-            if v > best:
-                best = v
-    return best
+def _on_lattice(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocation):
+    """``(E, ints, r)`` after the dimension check: the strengths and the
+    exponents (nested like ``power.r``, SILENT kept) as Python ints on one
+    lattice of step ``1/E``."""
+    check_dimensions(net, order, power)
+    E, ints = net.lattice(*[x.denominator for cell in power.r for x in cell if x is not SILENT])
+    r = [[x if x is SILENT else x.numerator * (E // x.denominator) for x in cell] for cell in power.r]
+    return E, ints, r
+
+
+def _ibc_levels(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocation):
+    """``(E, gamma, received)`` of a downlink strategy on its lattice, flat
+    in ``net.users()`` order: ``received`` is ``direct + r``, SILENT kept.
+
+    One reverse pass per cell keeps both maxima over later positions: the
+    largest exponent decoded later, and over observers at or after the
+    position the clipped out-of-cell interference minus the direct link.
+    An observer's out-of-cell interference is its cross strength plus the
+    largest exponent of each other cell with an active user; an int never
+    meets the float ``-inf`` in a sum, which a large lattice would overflow.
+    """
+    E, ints, r = _on_lattice(net, order, power)
+    tops = [(j0, max(xs)) for j0, cell in enumerate(r) if (xs := [x for x in cell if x is not SILENT])]
+    gamma, received = [], []
+    for k0, perm in enumerate(order.pi):
+        rows, rk = ints[k0], r[k0]
+        others = [(j0, t) for j0, t in tops if j0 != k0]
+        g, rec = [0] * len(perm), [SILENT] * len(perm)
+        later = seen = NEG_INF
+        for u in reversed(perm):
+            row = rows[u - 1]
+            cross = 0  # the clip (.)^+ of the out-of-cell interference
+            for j0, t in others:
+                if row[j0] + t > cross:
+                    cross = row[j0] + t
+            if cross - row[k0] > seen:
+                seen = cross - row[k0]
+            g[u - 1] = row[k0] + (later if later > seen else seen)
+            x = rk[u - 1]
+            if x is not SILENT:
+                rec[u - 1] = row[k0] + x
+                later = x if x > later else later
+        gamma += g
+        received += rec
+    return E, gamma, received
+
+
+def _imac_levels(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocation):
+    """``(E, gamma, received)`` of an uplink strategy, as for
+    :func:`_ibc_levels`.  One forward pass per cell keeps the running
+    maximum of the out-of-cell and the not-yet-cancelled same-cell
+    received powers, clipped at the noise floor."""
+    E, ints, r = _on_lattice(net, order, power)
+    gamma, received = [], []
+    for k0, perm in enumerate(order.pi):
+        level = 0  # the clip at the noise floor
+        for j0, cell in enumerate(r):
+            if j0 != k0:
+                for row, x in zip(ints[j0], cell):
+                    if x is not SILENT and row[k0] + x > level:
+                        level = row[k0] + x
+        rows, rk = ints[k0], r[k0]
+        g, rec = [0] * len(perm), [SILENT] * len(perm)
+        for u in perm:
+            g[u - 1] = level
+            if rk[u - 1] is not SILENT:
+                rec[u - 1] = p = rows[u - 1][k0] + rk[u - 1]
+                level = p if p > level else level
+        gamma += g
+        received += rec
+    return E, gamma, received
 
 
 def gamma_ibc(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocation) -> tuple:
@@ -127,29 +203,10 @@ def gamma_ibc(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocatio
     not-yet-cancelled same-cell powers and, over every same-cell observer at
     positions ``m >= l``, the clipped out-of-cell interference seen by that
     observer relative to its direct link.  Always nonnegative.
-
-    One reverse pass per cell keeps both maxima over later positions, so
-    each observer's out-of-cell interference is computed once.
     """
-    check_dimensions(net, order, power)
-    out = []
-    for k0, perm in enumerate(order.pi):
-        rows, r = net.alpha[k0], power.r[k0]
-        per_slot = [None] * len(perm)
-        later = NEG_INF  # max exponent decoded after the current position
-        seen = NEG_INF  # max over observers at or after it of (cross)^+ - direct
-        for u in reversed(perm):
-            direct = rows[u - 1][k0]
-            v = max(0, _cross_interference(net, power, k0, u)) - direct
-            if v > seen:
-                seen = v
-            per_slot[u - 1] = direct + max(later, seen)
-            x = r[u - 1]
-            if x is not SILENT and x > later:
-                later = x
-        out.extend(per_slot)
-    assert all(g >= 0 for g in out)
-    return tuple(out)
+    E, gamma, _ = _ibc_levels(net, order, power)
+    assert all(g >= 0 for g in gamma)
+    return tuple(Fraction(g, E) for g in gamma)
 
 
 def gamma_imac(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocation) -> tuple:
@@ -157,52 +214,21 @@ def gamma_imac(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocati
 
     At the base station of cell ``k`` decoding position ``l``, the residual
     interference consists of same-cell users at earlier positions (decoded
-    later) plus every out-of-cell user, clipped at the noise floor.  One
-    forward pass per cell keeps that maximum running.
+    later) plus every out-of-cell user, clipped at the noise floor, where
+    the level is the int 0.
     """
-    check_dimensions(net, order, power)
-    out = []
-    for k0, perm in enumerate(order.pi):
-        inter = NEG_INF
-        for j0, cell in enumerate(power.r):
-            if j0 == k0:
-                continue
-            rows = net.alpha[j0]
-            for lj, x in enumerate(cell):
-                if x is not SILENT:
-                    v = rows[lj][k0] + x
-                    if v > inter:
-                        inter = v
-        rows, r = net.alpha[k0], power.r[k0]
-        per_slot = [None] * len(perm)
-        level = max(0, inter)
-        for u in perm:
-            per_slot[u - 1] = level
-            x = r[u - 1]
-            if x is not SILENT:
-                v = rows[u - 1][k0] + x
-                if v > level:
-                    level = v
-        out.extend(per_slot)
-    return tuple(out)
+    E, gamma, _ = _imac_levels(net, order, power)
+    return tuple(Fraction(g, E) if g else 0 for g in gamma)
 
 
 _ZERO = Fraction(0)
 
 
-def _bounds_from_gamma(net: ChannelStrengths, power: PowerAllocation, gamma: tuple) -> tuple:
+def _bounds(E: int, gamma: list, received: list) -> tuple:
     """``(direct + r - gamma)^+`` per user, 0 for SILENT users."""
-    out = []
-    i = 0
-    for k0, cell in enumerate(power.r):
-        rows = net.alpha[k0]
-        for l0, x in enumerate(cell):
-            if x is SILENT:
-                out.append(_ZERO)
-            else:
-                out.append(max(_ZERO, rows[l0][k0] + x - gamma[i]))
-            i += 1
-    return tuple(out)
+    return tuple([
+        _ZERO if p is SILENT or p <= g else Fraction(p - g, E) for p, g in zip(received, gamma)
+    ])
 
 
 def gdof_bounds_ibc(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocation) -> tuple:
@@ -213,14 +239,14 @@ def gdof_bounds_ibc(net: ChannelStrengths, order: DecodingOrder, power: PowerAll
     ``m >= l`` of the observer's direct strength plus the user's exponent
     minus the dominant interference-plus-residual term.  SILENT users get 0.
     """
-    return _bounds_from_gamma(net, power, gamma_ibc(net, order, power))
+    return _bounds(*_ibc_levels(net, order, power))
 
 
 def gdof_bounds_imac(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocation) -> tuple:
     """Componentwise-largest uplink GDoF tuple achievable with the strategy:
     ``(direct + r - gamma)^+`` with ``gamma`` from :func:`gamma_imac`, and 0
     for SILENT users."""
-    return _bounds_from_gamma(net, power, gamma_imac(net, order, power))
+    return _bounds(*_imac_levels(net, order, power))
 
 
 def gdof_bounds(net: ChannelStrengths, strategy: Strategy) -> tuple:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 import tincell as tc
+from tincell.network import parse_decimal
 
 
 def mknet(alpha):
@@ -11,6 +12,24 @@ def mknet(alpha):
     K = len(alpha)
     L = [len(cell) for cell in alpha]
     return tc.ChannelStrengths.from_rows(K, L, alpha)
+
+
+# strengths with unlike denominators: thirds, sevenths, eighths and a 10^900 one
+_TINY = parse_decimal("1e-900")
+MIXED_NETS = [
+    mknet([[[Fraction(1, 3), Fraction(2, 7)], [1.125, _TINY]], [[0.125, Fraction(5, 3)]]]),
+    mknet([
+        [[Fraction(2, 7), Fraction(1, 3), 0.125], [Fraction(4, 3), _TINY, Fraction(6, 7)]],
+        [[0.125, Fraction(9, 7), Fraction(1, 3)], [Fraction(1, 3), Fraction(11, 8), _TINY]],
+        [[Fraction(2, 7), 0.125, 1 + _TINY]],
+    ]),
+    # slots given in descending direct strength, then sorted
+    tc.canonicalize(mknet([
+        [[Fraction(5, 3), Fraction(1, 7), 0.125], [Fraction(2, 7), Fraction(1, 3), _TINY]],
+        [[0.125, Fraction(8, 7), Fraction(1, 3)]],
+        [[Fraction(1, 3), Fraction(2, 7), Fraction(3, 8)], [_TINY, 0.125, Fraction(1, 3)]],
+    ]))[0],
+]
 
 
 @pytest.fixture

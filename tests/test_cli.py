@@ -662,3 +662,30 @@ def test_adt_report_keys(capsys):
         "version", "inputs", "mode", "params", "trials", "min_slack", "passed", "worst_case_dist",
     }
     assert doc["inputs"] == {}
+
+
+def _strict_json(out):
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(out, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("pnominal", ["inf", "1e400", "nan"])
+def test_rates_refuse_a_non_finite_nominal_power(capsys, net_file, strat_file, pnominal):
+    code, out = invoke(
+        capsys, "rates", "--net", net_file, "--strategy", strat_file, "--pnominal", pnominal,
+    )
+    assert code == 1
+    doc = _strict_json(out)
+    assert doc["error"]["type"] == "ValueError"
+    assert "finite" in doc["error"]["message"]
+
+
+def test_non_finite_report_values_become_the_error_object(capsys, net_file, strat_file, monkeypatch):
+    monkeypatch.setattr("tincell.cli.sinr_rates_ibc", lambda *a: ((float("inf"), float("inf")),) * 3)
+    code, out = invoke(
+        capsys, "rates", "--net", net_file, "--strategy", strat_file, "--pnominal", "1e6",
+    )
+    assert code == 1 and out.count("\n") == 1
+    assert _strict_json(out)["error"]["type"] == "ValueError"

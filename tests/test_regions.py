@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 import tincell as tc
 import tincell.regions
-from tincell.network import parse_decimal
 from tincell.regions import _all_suborders, _all_subnetworks, _union_regions
 from tincell.sampling import random_network
 
-from conftest import mknet, nets
+from conftest import MIXED_NETS, mknet, nets
 
 
 def full_region(net):
@@ -154,22 +153,6 @@ def _general_net(shape):
             return net
 
 
-# strengths with unlike denominators: thirds, sevenths, eighths and a 10^900 one
-_TINY = parse_decimal("1e-900")
-MIXED_NETS = [
-    mknet([[[Fraction(1, 3), Fraction(2, 7)], [1.125, _TINY]], [[0.125, Fraction(5, 3)]]]),
-    mknet([
-        [[Fraction(2, 7), Fraction(1, 3), 0.125], [Fraction(4, 3), _TINY, Fraction(6, 7)]],
-        [[0.125, Fraction(9, 7), Fraction(1, 3)], [Fraction(1, 3), Fraction(11, 8), _TINY]],
-        [[Fraction(2, 7), 0.125, 1 + _TINY]],
-    ]),
-    # slots given in descending direct strength, then sorted
-    tc.canonicalize(mknet([
-        [[Fraction(5, 3), Fraction(1, 7), 0.125], [Fraction(2, 7), Fraction(1, 3), _TINY]],
-        [[0.125, Fraction(8, 7), Fraction(1, 3)]],
-        [[Fraction(1, 3), Fraction(2, 7), Fraction(3, 8)], [_TINY, 0.125, Fraction(1, 3)]],
-    ]))[0],
-]
 SEEDED_NETS = [random_network(random.Random(seed), len(shape), shape)
                for seed, shape in enumerate([(2, 1), (2, 2, 1), (3, 2, 2), (2, 2, 2, 2)])]
 

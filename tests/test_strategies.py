@@ -203,8 +203,9 @@ def test_rate_gap_nonincreasing_on_net_a(net_a):
 
 
 def test_finite_snr_requires_p_above_one():
-    with pytest.raises(ValueError):
-        tc.FiniteSnrConfig(P=1.0)
+    for P in (1.0, math.inf, 1e400, math.nan):
+        with pytest.raises(ValueError):
+            tc.FiniteSnrConfig(P=P)
 
 
 # --- strategy files ---------------------------------------------------------
