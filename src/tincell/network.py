@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,16 +62,25 @@ def as_fraction(value) -> Fraction:
 
     Strings and floats are routed through their decimal text form, so
     ``as_fraction(0.6) == Fraction(3, 5)`` rather than the binary float.
+    A float subclass such as ``numpy.float64`` is read through the same
+    text (``float.__repr__``, not its own ``repr``), and an integer scalar
+    such as ``numpy.int64`` through ``operator.index``.  NaN and infinities
+    raise ``ValueError``.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        return Fraction(repr(value))
+        if not math.isfinite(value):
+            raise ValueError(f"{float.__repr__(value)} is not a finite number")
+        return Fraction(float.__repr__(value))
     if isinstance(value, str):
         return parse_decimal(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    try:
+        return Fraction(operator.index(value))
+    except TypeError:
+        raise TypeError(f"cannot interpret {value!r} as an exact rational") from None
 
 
 def _fraction_to_text(x: Fraction) -> str:
@@ -119,6 +129,7 @@ class ChannelStrengths:
 
     @staticmethod
     def from_rows(K: int, L: Sequence[int], alpha: Sequence[Sequence[Sequence[Number]]]) -> "ChannelStrengths":
+        K, L = operator.index(K), tuple(map(operator.index, L))  # numpy ints become ints
         if K < 1 or len(L) != K or any(lk < 1 for lk in L):
             raise NetworkFormatError(f"invalid dimensions K={K}, L={list(L)}")
         if len(alpha) != K:
@@ -138,10 +149,17 @@ class ChannelStrengths:
                     )
                 cell_rows.append(tuple(max(Fraction(0), as_fraction(a)) for a in row))
             rows.append(tuple(cell_rows))
-        return ChannelStrengths(K=K, L=tuple(L), alpha=tuple(rows))
+        return ChannelStrengths(K=K, L=L, alpha=tuple(rows))
 
     def users(self) -> tuple[UserId, ...]:
-        """All users in canonical order: cells ascending, slots ascending."""
+        """All users in canonical order: cells ascending, slots ascending.
+
+        The tuple is built once per network object and shared by every call.
+        """
+        return self._users
+
+    @functools.cached_property
+    def _users(self) -> tuple[UserId, ...]:
         return tuple(UserId(k, l) for k in range(1, self.K + 1) for l in range(1, self.L[k - 1] + 1))
 
     @property

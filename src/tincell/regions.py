@@ -7,20 +7,24 @@ the chosen subnetwork are zero-forced.  All bounds are exact rationals, so
 membership, regime classification and LP optima never depend on float
 rounding.  Cyclic bounds are summed as Python ints on the network's
 common-denominator lattice (:attr:`ChannelStrengths.scaled`) and divided
-back once, so they stay exact and equal to the rational sums.
+back once, so they stay exact and equal to the rational sums.  Membership
+runs on ints too: a point is read once onto its own lattice (the lcm of its
+coordinate denominators), and each constraint is one cross-multiplied
+integer comparison against the bound's numerator and denominator.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionMismatchError, EmptyRegionError, PreconditionError
-from .network import ChannelStrengths, UserId
+from .network import ChannelStrengths, UserId, as_fraction
 from .simplex import solve_lp
 
 
@@ -59,7 +63,11 @@ class Subnetwork:
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """Sum of the named users' GDoF values is at most ``bound``."""
+    """Sum of the named users' GDoF values is at most ``bound``.
+
+    Ints and Fractions are kept as given; any other bound is read with
+    :func:`~tincell.network.as_fraction` (a float through its decimal text).
+    """
 
     users: frozenset[UserId]
     bound: Fraction
@@ -67,6 +75,8 @@ class LinearConstraint:
     def __post_init__(self):
         if not self.users:
             raise ValueError("constraint must cover at least one user")
+        if not isinstance(self.bound, (int, Fraction)):
+            object.__setattr__(self, "bound", as_fraction(self.bound))
 
 
 @dataclass(frozen=True)
@@ -83,13 +93,12 @@ class PolyhedralRegion:
     constraints: tuple[LinearConstraint, ...]
 
     def __post_init__(self):
-        active = set(self.users) - self.zero
-        for c in self.constraints:
-            if not c.users <= active:
-                raise ValueError("constraint mentions a zero-forced or unknown user")
+        active = frozenset(self.users) - self.zero
+        if not active.issuperset(frozenset().union(*[c.users for c in self.constraints])):
+            raise ValueError("constraint mentions a zero-forced or unknown user")
 
     def is_empty(self) -> bool:
-        return any(c.bound < 0 for c in self.constraints)
+        return any(c.bound.numerator < 0 for c in self.constraints)
 
     def constraint_set(self) -> frozenset[tuple[frozenset[UserId], Fraction]]:
         return frozenset((c.users, c.bound) for c in self.constraints)
@@ -135,6 +144,18 @@ def identity_suborder(subnet: Subnetwork) -> dict[int, tuple[int, ...]]:
     return {i: subnet.slots(i) for i in subnet.cells()}
 
 
+@functools.lru_cache(maxsize=4096)
+def _prefix_groups(cell: int, perm: tuple[int, ...]) -> tuple[frozenset[UserId], ...]:
+    """The users of each prefix of ``perm`` in ``cell``, shortest first."""
+    return tuple(itertools.accumulate((frozenset((UserId(cell, s),)) for s in perm), frozenset.union))
+
+
+@functools.lru_cache(maxsize=4096)
+def _bound(total: int, D: int) -> Fraction:
+    """``Fraction(total, D)``: cyclic sums recur across the regions of a union."""
+    return Fraction(total, D)
+
+
 def polyhedral_region(
     net: ChannelStrengths, order: SubnetOrder, subnet: Subnetwork
 ) -> PolyhedralRegion:
@@ -158,46 +179,59 @@ def polyhedral_region(
     constraints = []
     prefixes = {}
     for i in M:
-        perm = order[i]
-        prefixes[i] = tuple(
-            itertools.accumulate((frozenset((UserId(i, s),)) for s in perm), frozenset.union)
-        )
-        for group, top in zip(prefixes[i], perm):
-            constraints.append(LinearConstraint(group, net.direct(i, top)))
+        perm = tuple(order[i])
+        prefixes[i] = tuple(zip(_prefix_groups(i, perm), perm))
+        constraints += [LinearConstraint(group, net.direct(i, top)) for group, top in prefixes[i]]
     if len(M) >= 2:
         D, ints = net.scaled
         for seq in _cycles(M):
-            # per position: (prefix group, scaled margin against the predecessor)
-            choices = [
-                [
-                    (group, ints[i - 1][top - 1][i - 1] - ints[i - 1][top - 1][prev - 1])
-                    for group, top in zip(prefixes[i], order[i])
-                ]
-                for i, prev in zip(seq, seq[-1:] + seq[:-1])
-            ]
-            for picks in itertools.product(*choices):
-                groups, margins = zip(*picks)
-                constraints.append(
-                    LinearConstraint(groups[0].union(*groups[1:]), Fraction(sum(margins), D))
-                )
+            # (group, scaled sum) over the positions so far, extended one
+            # position at a time by each prefix group and its margin against
+            # the predecessor cell.  The last position varies fastest and
+            # groups are joined left to right, so constraint order and each
+            # frozenset's member order (hence the region's repr) follow
+            # itertools.product and groups[0].union(*groups[1:])
+            pairs = None
+            for i, prev in zip(seq, seq[-1:] + seq[:-1]):
+                rows = ints[i - 1]
+                step = [(group, rows[top - 1][i - 1] - rows[top - 1][prev - 1]) for group, top in prefixes[i]]
+                pairs = step if pairs is None else [(g0 | g, s0 + m) for g0, s0 in pairs for g, m in step]
+            constraints += [LinearConstraint(group, _bound(total, D)) for group, total in pairs]
     return PolyhedralRegion(users=users, zero=zero, constraints=tuple(constraints))
+
+
+def _exact(d: Sequence) -> list:
+    """The coordinates of ``d`` as ints and Fractions; any other value is
+    read with :func:`~tincell.network.as_fraction` (a float through its
+    decimal text, NaN and infinities refused)."""
+    return [x if type(x) is int or type(x) is Fraction else as_fraction(x) for x in d]
 
 
 def contains(region: PolyhedralRegion, d: Sequence) -> bool:
     """Membership test: d >= 0, zero-forced coordinates vanish, all
     constraints hold.
 
-    Comparisons are exact: rational inputs never round.
+    Comparisons are exact and run on ints.  Ints and Fractions are taken as
+    given, and any other coordinate is read with
+    :func:`~tincell.network.as_fraction`, so a float counts as its decimal
+    text and NaN or an infinity raises ``ValueError``.  The point is scaled
+    once by ``den``, the lcm of its denominators; a constraint ``sum <= p/q``
+    then holds iff ``sum(ints) * q <= p * den``.
     """
-    if len(d) != len(region.users):
-        raise DimensionMismatchError(f"tuple of length {len(d)}, expected {len(region.users)}")
-    index = {u: i for i, u in enumerate(region.users)}
-    if any(x < 0 for x in d):
+    users = region.users
+    if len(d) != len(users):
+        raise DimensionMismatchError(f"tuple of length {len(d)}, expected {len(users)}")
+    d = _exact(d)
+    den = math.lcm(*[x.denominator for x in d])
+    ints = [x.numerator * (den // x.denominator) for x in d]
+    if min(ints, default=0) < 0:
         return False
-    if any(abs(d[index[u]]) > 0 for u in region.zero):
+    value = dict(zip(users, ints))
+    if any(map(value.__getitem__, region.zero)):
         return False
     for c in region.constraints:
-        if sum(d[index[u]] for u in c.users) > c.bound:
+        b = c.bound
+        if sum(map(value.__getitem__, c.users)) * b.denominator > b.numerator * den:
             return False
     return True
 
@@ -238,12 +272,13 @@ def tina_region_contains(
 
     Subnetworks are tried in decreasing size and decode orders
     lexicographically; the first containing (order, subnetwork) pair is the
-    witness.  Cost grows with the product of per-cell factorials, so keep
-    networks small: a miss builds every region, which took about 4 ms for
-    L = (2, 2, 1), 35 ms for (3, 2, 2), 0.14 s for (3, 3, 2) and for
-    (2, 2, 2, 2), and 0.75 s for (3, 3, 3) on a shared 2-core VM under
-    Python 3.11.
+    witness.  ``d`` is read once, as :func:`contains` reads it.  Cost grows
+    with the product of per-cell factorials, so keep networks small: a miss
+    builds every region, which took about 2.5 ms for L = (2, 2, 1), 30 ms
+    for (3, 2, 2), 70 ms for (2, 2, 2, 2), 75 ms for (3, 3, 2) and 0.32 s
+    for (3, 3, 3) on a shared 2-core VM under Python 3.11.
     """
+    d = _exact(d)
     for order, subnet, region in _union_regions(net):
         if contains(region, d):
             return True, (order, subnet)
@@ -259,7 +294,7 @@ def max_weighted_sum(region: PolyhedralRegion, w: Sequence) -> tuple[Fraction, t
     """
     if len(w) != len(region.users):
         raise DimensionMismatchError(f"{len(w)} weights for {len(region.users)} users")
-    w = [Fraction(x) if not isinstance(x, float) else Fraction(repr(x)) for x in w]
+    w = [as_fraction(x) for x in w]
     if any(x < 0 for x in w):
         raise ValueError("weights must be nonnegative")
     if region.is_empty():

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tincell as tc
 from tincell.errors import NetworkFormatError
-from tincell.network import parse_decimal
+from tincell.network import as_fraction, parse_decimal
+from tincell.oracle import GridSpec, oracle_max_sum
+from tincell.strategies import PowerAllocation
 
 from conftest import mknet, nets
 
@@ -153,3 +156,65 @@ def test_network_and_strategy_json_refuse_huge_exponents(net_a):
         tc.parse_network('{"K": 1, "L": [1], "alpha": [[[1e-9999999]]]}')
     with pytest.raises(NetworkFormatError, match="decimal exponent"):
         tc.parse_strategy('{"side": "ibc", "order": [[1, 2], [1]], "r": [[0, -1e9999999], [0]]}', net_a)
+
+
+# --- numpy scalars at the exact entry points --------------------------------
+# numpy 2 prints np.float64(0.6) as "np.float64(0.6)", so a float subclass
+# must be read through float.__repr__, and np.int64 is no Python int
+
+
+@pytest.mark.parametrize(
+    "np_value, py_value",
+    [(np.float64(0.6), 0.6), (np.float64(-0.1), -0.1), (np.float64(1e-7), 1e-7),
+     (np.int64(3), 3), (np.int32(-2), -2), (np.uint8(0), 0)],
+)
+def test_as_fraction_reads_numpy_scalars_like_python_numbers(np_value, py_value):
+    got = as_fraction(np_value)
+    assert type(got) is Fraction and got == as_fraction(py_value)
+
+
+def test_as_fraction_refuses_non_finite_and_unknown_values():
+    for bad in (float("nan"), float("inf"), np.float64("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            as_fraction(bad)
+    with pytest.raises(TypeError):
+        as_fraction(object())
+
+
+def test_from_rows_reads_numpy_rows(net_a):
+    rows = [np.array([[0.6, 0.2], [1.0, 0.1]]), np.array([[0.3, 1.0]])]
+    assert tc.ChannelStrengths.from_rows(2, [2, 1], rows) == net_a
+    ints = [np.array([[1, 0], [2, 1]]), np.array([[0, 3]])]
+    assert tc.ChannelStrengths.from_rows(2, [2, 1], ints) == mknet([[[1, 0], [2, 1]], [[0, 3]]])
+    dims = tc.ChannelStrengths.from_rows(np.int64(2), np.array([2, 1]), rows)
+    assert repr(dims) == repr(net_a) and tc.serialize_network(dims) == tc.serialize_network(net_a)
+
+
+def test_grid_spec_reads_numpy_scalars():
+    assert GridSpec(np.float64(0.1), 2) == GridSpec(0.1, 2) == GridSpec(Fraction(1, 10), 2)
+    assert GridSpec(np.int64(1), np.int64(2)) == GridSpec(1, 2)
+
+
+def test_power_allocation_reads_numpy_scalars():
+    assert PowerAllocation(((np.float64(-0.1), 0), (0,))) == PowerAllocation(((-0.1, 0), (0,)))
+    assert PowerAllocation(((np.int64(0), 0), (np.int64(-1),))) == PowerAllocation(((0, 0), (-1,)))
+
+
+def test_weighted_sums_read_numpy_weights(net_a):
+    full = tc.Subnetwork.full(net_a)
+    region = tc.polyhedral_region(net_a, tc.identity_suborder(full), full)
+    grid = GridSpec(Fraction(1, 4), net_a.max_strength() + 1)
+    for np_w, py_w in [(np.array([1.0, 0.5, 0.25]), [1.0, 0.5, 0.25]), (np.array([1, 2, 1]), [1, 2, 1])]:
+        assert tc.max_weighted_sum(region, np_w) == tc.max_weighted_sum(region, py_w)
+        for mode in ("exact", "float"):
+            assert oracle_max_sum(net_a, "ibc", np_w, grid, mode) == oracle_max_sum(net_a, "ibc", py_w, grid, mode)
+
+
+def test_membership_reads_numpy_points(net_a):
+    full = tc.Subnetwork.full(net_a)
+    region = tc.polyhedral_region(net_a, tc.identity_suborder(full), full)
+    for np_d, py_d in [(np.array([0.3, 0.4, 0.5]), [0.3, 0.4, 0.5]), (np.array([0, 1, 0]), [0, 1, 0]),
+                       (np.array([0.0, 0.9, 0.7]), [0, Fraction(9, 10), Fraction(7, 10)])]:
+        assert tc.contains(region, np_d) == tc.contains(region, py_d)
+        assert tc.tina_region_contains(net_a, np_d) == tc.tina_region_contains(net_a, py_d)
+    assert tc.contains(region, np.array([0.0, 0.9, 0.7]))

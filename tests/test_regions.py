@@ -1,8 +1,10 @@
+import collections
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,6 +172,57 @@ def test_region_builder_matches_reference_on_every_union_region(net):
             assert type(c.bound) is Fraction and repr(c.bound) == repr(r.bound)
 
 
+def _product_polyhedral_region(net, order, subnet):
+    """The integer-lattice builder that walked ``itertools.product`` per cyclic
+    sequence, kept as the reference for each region's ``repr``: frozenset
+    member order depends on how each group was joined."""
+    if len(subnet.slots_by_cell) != net.K or any(
+        slots and slots[-1] > net.L[k] for k, slots in enumerate(subnet.slots_by_cell)
+    ):
+        raise tc.DimensionMismatchError("subnetwork does not fit the network")
+    M = subnet.cells()
+    for i in M:
+        if i not in order or sorted(order[i]) != list(subnet.slots(i)):
+            raise ValueError(f"order for cell {i} is not a bijection onto its subset")
+    users = net.users()
+    zero = frozenset(users) - subnet.members()
+    constraints = []
+    prefixes = {}
+    for i in M:
+        perm = order[i]
+        prefixes[i] = tuple(
+            itertools.accumulate((frozenset((tc.UserId(i, s),)) for s in perm), frozenset.union)
+        )
+        for group, top in zip(prefixes[i], perm):
+            constraints.append(tc.LinearConstraint(group, net.direct(i, top)))
+    if len(M) >= 2:
+        D, ints = net.scaled
+        for seq in tincell.regions._cycles(M):
+            # per position: (prefix group, scaled margin against the predecessor)
+            choices = [
+                [
+                    (group, ints[i - 1][top - 1][i - 1] - ints[i - 1][top - 1][prev - 1])
+                    for group, top in zip(prefixes[i], order[i])
+                ]
+                for i, prev in zip(seq, seq[-1:] + seq[:-1])
+            ]
+            for picks in itertools.product(*choices):
+                groups, margins = zip(*picks)
+                constraints.append(
+                    tc.LinearConstraint(groups[0].union(*groups[1:]), Fraction(sum(margins), D))
+                )
+    return tc.PolyhedralRegion(users=users, zero=zero, constraints=tuple(constraints))
+
+
+@pytest.mark.parametrize(
+    "net", SEEDED_NETS + MIXED_NETS,
+    ids=["seeded-21", "seeded-221", "seeded-322", "seeded-2222", "mixed-21", "mixed-221", "canonical-212"],
+)
+def test_union_regions_print_as_the_product_builder_printed_them(net):
+    for order, subnet, region in _union_regions(net):
+        assert repr(region) == repr(_product_polyhedral_region(net, order, subnet))
+
+
 def test_scaled_view_is_exact_and_leaves_identity_alone():
     net = MIXED_NETS[0]
     before = (repr(net), hash(net))
@@ -248,6 +301,193 @@ def test_tina_region_contains_net_a_examples(net_a):
     assert order == {1: (1, 2), 2: (1,)}
     ok, witness = tc.tina_region_contains(net_a, [Fraction(7, 10), 0, 0])
     assert not ok and witness is None
+
+
+def _reference_contains(region, d):
+    """Membership test: d >= 0, zero-forced coordinates vanish, all
+    constraints hold.
+
+    Comparisons are exact: rational inputs never round.
+    """
+    if len(d) != len(region.users):
+        raise tc.DimensionMismatchError(f"tuple of length {len(d)}, expected {len(region.users)}")
+    index = {u: i for i, u in enumerate(region.users)}
+    if any(x < 0 for x in d):
+        return False
+    if any(abs(d[index[u]]) > 0 for u in region.zero):
+        return False
+    for c in region.constraints:
+        if sum(d[index[u]] for u in c.users) > c.bound:
+            return False
+    return True
+
+
+def _union_list(net):
+    return [region for _, _, region in _union_regions(net)]
+
+
+def _box_points(rng, net, count):
+    """c06 box: each coordinate on the 1/100 grid in [0, direct + 1/10]."""
+    tops = [int((net.direct(u.cell, u.slot) + Fraction(1, 10)) * 100) for u in net.users()]
+    return [tuple(Fraction(rng.randint(0, t), 100) for t in tops) for _ in range(count)]
+
+
+def _vertices(regions, n):
+    """LP vertices of the nonempty regions: each lies exactly on a constraint."""
+    out = []
+    for region in regions:
+        if not region.is_empty():
+            for w in ([1] * n, [1 + i % 3 for i in range(n)]):
+                out.append(tc.max_weighted_sum(region, w)[1])
+    return out
+
+
+def _nudged(points, rng, denominators):
+    """Each point moved up or down by 1/q on one coordinate, for q in
+    ``denominators``; the moved coordinate may turn negative."""
+    out = []
+    for p, q in zip(points, itertools.cycle(denominators)):
+        j = rng.randrange(len(p))
+        for sign in (1, -1):
+            out.append(p[:j] + (p[j] + sign * Fraction(1, q),) + p[j + 1:])
+    return out
+
+
+def _with_zero_forced(points, regions, rng):
+    """Points that satisfy a region except for one zero-forced coordinate."""
+    out = []
+    for p, region in zip(points, regions):
+        forced = sorted(region.zero)
+        if forced:
+            j = region.users.index(rng.choice(forced))
+            out.append(p[:j] + (Fraction(1, 10**9),) + p[j + 1:])
+    return out
+
+
+def _membership_cases(group):
+    rng = random.Random(2015)
+    if group == "c06-box":
+        from tincell.sampling import sample_ctin_network
+
+        for _ in range(6):
+            net = sample_ctin_network(rng, 2, [rng.randint(1, 2), rng.randint(1, 2)])
+            yield _union_list(net), _box_points(rng, net, 20)
+    elif group == "vertices":
+        for net in SEEDED_NETS[:2] + MIXED_NETS[:2]:
+            regions = _union_list(net)
+            vs = [tuple(v) for v in _vertices(regions, net.n_users)]
+            yield regions, vs
+    elif group == "zero-and-negative":
+        for net in SEEDED_NETS[:2]:
+            regions = [r for r in _union_list(net) if not r.is_empty()]
+            vs = [tuple(tc.max_weighted_sum(r, [1] * net.n_users)[1]) for r in regions]
+            yield regions, _with_zero_forced(vs, regions, rng) + _nudged(vs, rng, [1])
+    elif group == "mixed":
+        for net in MIXED_NETS:
+            regions = _union_list(net)
+            vs = [tuple(v) for v in _vertices(regions[:8], net.n_users)]
+            yield regions, vs + _nudged(vs, rng, [10**900, 3 * 10**900, 7])
+    elif group == "unlike-denominators":
+        for net in SEEDED_NETS[:2]:
+            D = net.scaled[0]
+            regions = _union_list(net)
+            vs = [tuple(v) for v in _vertices(regions, net.n_users)]
+            qs = [q for q in (3, 7, 10**9) if D % q]
+            assert len(qs) == 3
+            thirds = [tuple(Fraction(rng.randint(0, 3 * 12), q) for _ in range(net.n_users))
+                      for q in qs for _ in range(10)]
+            yield regions, _nudged(vs, rng, qs) + thirds
+    elif group == "ints":
+        for net in SEEDED_NETS[:2] + MIXED_NETS[:1]:
+            n = net.n_users
+            points = [tuple(p) for p in itertools.product((0, 1, 2), repeat=n)]
+            yield _union_list(net), points + [(-1,) + (0,) * (n - 1)]
+
+
+MEMBERSHIP_GROUPS = ["c06-box", "vertices", "zero-and-negative", "mixed", "unlike-denominators", "ints"]
+
+
+@pytest.mark.parametrize("group", MEMBERSHIP_GROUPS)
+def test_contains_matches_the_fraction_reference(group):
+    answers = collections.Counter()
+    for regions, points in _membership_cases(group):
+        assert points
+        for region in regions:
+            for p in points:
+                got = tc.contains(region, p)
+                assert got is _reference_contains(region, p), (region, p)
+                answers[got] += 1
+    assert answers[True] and answers[False], answers
+
+
+def test_membership_cases_reach_the_boundary_and_the_checks():
+    """The vertex group holds points on a constraint, and the nudged groups
+    hold points decided by the zero-forced check alone and points just
+    across a constraint."""
+    (regions, vs), *_ = _membership_cases("vertices")
+    tight = 0
+    for region in regions:
+        for v in vs:
+            if _reference_contains(region, v):
+                tight += any(sum(v[region.users.index(u)] for u in c.users) == c.bound
+                             for c in region.constraints)
+    assert tight
+    zero_only = 0
+    for regions, points in _membership_cases("zero-and-negative"):
+        for region in regions:
+            for p in points:
+                cleared = tuple(0 if u in region.zero else x for u, x in zip(region.users, p))
+                zero_only += min(p) >= 0 and not tc.contains(region, p) and tc.contains(region, cleared)
+    assert zero_only
+
+
+def test_tina_region_contains_reads_the_point_once(monkeypatch):
+    net = SEEDED_NETS[1]
+    seen = []
+
+    def spy(region, d):
+        seen.append(d)
+        return contains(region, d)
+
+    contains = tincell.regions.contains
+    monkeypatch.setattr(tincell.regions, "contains", spy)
+    point = [0.1] * net.n_users
+    tc.tina_region_contains(net, point)
+    assert len(seen) > 1 and all(d is seen[0] for d in seen)
+    assert all(type(x) is Fraction for x in seen[0]) and seen[0][0] == Fraction(1, 10)
+
+
+def _sum_region():
+    """d1 + d2 <= 3/10 on two users of one cell."""
+    users = (tc.UserId(1, 1), tc.UserId(1, 2))
+    return tc.PolyhedralRegion(users, frozenset(), (tc.LinearConstraint(frozenset(users), Fraction(3, 10)),))
+
+
+def test_contains_reads_floats_through_their_decimal_text():
+    region = _sum_region()
+    assert tc.contains(region, [0.1, 0.2])  # 0.1 + 0.2 > 0.3 in binary floats
+    assert not tc.contains(region, [0.1, 0.2000001])
+    assert tc.contains(region, np.array([0.1, 0.2]))
+    assert tc.contains(region, np.array([0, 0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_membership_refuses_non_finite_coordinates(net_a, bad):
+    with pytest.raises(ValueError, match="finite"):
+        tc.contains(_sum_region(), [bad, 0])
+    with pytest.raises(ValueError, match="finite"):
+        tc.tina_region_contains(net_a, [bad, 0, 0])
+
+
+def test_linear_constraint_reads_a_float_bound_exactly():
+    users = frozenset({tc.UserId(1, 1)})
+    assert tc.LinearConstraint(users, 0.3).bound == Fraction(3, 10)
+    assert type(tc.LinearConstraint(users, 0.3).bound) is Fraction
+    assert tc.LinearConstraint(users, np.float64(0.3)) == tc.LinearConstraint(users, Fraction(3, 10))
+    assert tc.LinearConstraint(users, 2).bound == 2
+    int_region = tc.PolyhedralRegion((tc.UserId(1, 1),), frozenset(), (tc.LinearConstraint(users, 1),))
+    assert tc.contains(int_region, [1]) and not tc.contains(int_region, [Fraction(101, 100)])
+    assert tc.PolyhedralRegion((tc.UserId(1, 1),), frozenset(), (tc.LinearConstraint(users, -0.1),)).is_empty()
 
 
 # --- weighted sums ----------------------------------------------------------
