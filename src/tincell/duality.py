@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .network import ChannelStrengths
 from .strategies import (
-    NEG_INF,
     SILENT,
     DecodingOrder,
     PowerAllocation,
@@ -73,10 +72,10 @@ def dualize_imac_to_ibc(
 def _received_chains(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocation):
     """Per cell, its decode chain as ``(slot, received power)`` pairs on the
     strategy's integer lattice; a SILENT user receives ``-inf``."""
-    _, ints, r = _on_lattice(net, order, power)
+    _, ints, r, _ = _on_lattice(net, order, power)
     return [
-        [(s, NEG_INF if r[k0][s - 1] is SILENT else ints[k0][s - 1][k0] + r[k0][s - 1]) for s in perm]
-        for k0, perm in enumerate(order.pi)
+        [(s, float("-inf") if cell[s - 1] is SILENT else ints[k0][s - 1][k0] + r[k0][s - 1]) for s in perm]
+        for k0, (perm, cell) in enumerate(zip(order.pi, power.r))
     ]
 
 
@@ -110,13 +109,14 @@ def normalize_imac_strategy(
     is harmless: the promoted user sees exactly the interference it saw
     before, everyone else sees no more, so per-user bounds never decrease.
     The result is deterministic and idempotent, and satisfies
-    :func:`satisfies_received_power_order`.
+    :func:`satisfies_received_power_order`.  When nothing changes, the
+    inputs themselves are returned.
     """
     pi, r = [], []
     for cell, chain in zip(power.r, _received_chains(net, order, power)):
         row = list(cell)
         silenced, kept = [], []
-        top = NEG_INF
+        top = float("-inf")
         for slot, p in chain:
             if row[slot - 1] is not SILENT and p >= top:
                 kept.append(slot)
@@ -126,6 +126,8 @@ def normalize_imac_strategy(
                 row[slot - 1] = SILENT
         pi.append(tuple(silenced + kept))
         r.append(tuple(row))
+    if tuple(pi) == order.pi and tuple(r) == power.r:
+        return order, power
     return DecodingOrder(tuple(pi)), PowerAllocation(tuple(r))
 
 

@@ -83,6 +83,13 @@ def as_fraction(value) -> Fraction:
         raise TypeError(f"cannot interpret {value!r} as an exact rational") from None
 
 
+def _exact(d: Sequence) -> list:
+    """The coordinates of ``d`` as ints and Fractions; any other value is
+    read with :func:`as_fraction` (a float through its decimal text, NaN and
+    infinities refused)."""
+    return [x if type(x) is int or type(x) is Fraction else as_fraction(x) for x in d]
+
+
 def _fraction_to_text(x: Fraction) -> str:
     """Exact decimal text for terminating fractions, shortest float repr otherwise."""
     den = x.denominator
@@ -204,9 +211,9 @@ class ChannelStrengths:
         f = E // D
         return E, tuple(tuple(tuple(a * f for a in row) for row in cell) for cell in ints)
 
-    def floats(self) -> list[list[list[float]]]:
+    def floats(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
         """Float view of the tensor (derived on demand; storage stays exact)."""
-        return [[[float(a) for a in row] for row in cell] for cell in self.alpha]
+        return tuple(tuple(tuple(float(a) for a in row) for row in cell) for cell in self.alpha)
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,20 @@
 
 Every per-cell decode order is combined with every assignment of power
 exponents from the grid ``{0, -step, ..., -depth} + {SILENT}``; the
-per-strategy GDoF bounds are collected.  In exact mode all strengths and
-grid levels are rescaled to a common integer lattice, so bound arithmetic
-(max / min / add / clip) stays exact while running as vectorized int64
-numpy; float mode runs the same code on float64 with dedup at 1e-12.
+per-strategy GDoF bounds are collected.  They come from the strategy
+evaluators' own passes (``strategies._ibc_pass`` / ``_imac_pass``), run on
+numpy columns, one per user, with ``np.maximum`` / ``np.minimum``.  In
+exact mode all strengths and grid levels are rescaled to a common integer
+lattice, so bound arithmetic (max / min / add / clip) stays exact while
+running as vectorized int64 numpy; float mode runs the same code on
+float64 with dedup at 1e-12.
 
 An exponent below ``-max strength`` is clipped to 0 by every bound's
 positive part, exactly like SILENT, so the default depth
 ``max strength + 1`` loses nothing.  The lattice folds all such levels
-into its single SILENT level (in exact mode ``-(max scaled strength + 1)``,
-below every kept level), and they are never enumerated; the strategy
-count and the budget check still count the caller's grid, and the
+into its single SILENT level (the passes' sentinel ``-(max strength + 1)``
+in both modes, below every kept level), and they are never enumerated; the
+strategy count and the budget check still count the caller's grid, and the
 returned points are the same.  Each chunk of bounds is deduplicated by a
 lexsort and an adjacent-row compare before it joins the point set.
 """
@@ -29,6 +32,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
 from .network import ChannelStrengths, as_fraction
+from .strategies import _ibc_pass, _imac_pass, _silent_level
 
 DEFAULT_BUDGET = 10**8
 _CHUNK = 1 << 20
@@ -77,11 +81,7 @@ class _Lattice:
         if mode not in ("exact", "float"):
             raise ValueError("mode must be 'exact' or 'float'")
         self.net = net
-        self.mode = mode
         self.n = net.n_users
-        self.flat = {}  # (cell, slot) -> column index
-        for idx, u in enumerate(net.users()):
-            self.flat[(u.cell, u.slot)] = idx
         q = int(grid.depth / grid.step)
         if mode == "exact":
             D, self.alpha = net.lattice(grid.step.denominator)
@@ -91,24 +91,20 @@ class _Lattice:
                     "exact mode; use float mode"
                 )
             self.scale = D
-            # largest strength, which also caps every bound
-            self.top = max(a for cell in self.alpha for row in cell for a in row)
             levels = (-int(grid.step * D)) * np.arange(q + 1, dtype=np.int64)
-            self.neg = -(self.top + 1)  # SILENT: below every kept level
-            self.dtype = np.int64
         else:
             self.scale = None
             self.alpha = net.floats()
-            self.top = max(a for cell in self.alpha for row in cell for a in row)
             levels = (-float(grid.step)) * np.arange(q + 1, dtype=np.float64)
-            self.neg = -np.inf
-            self.dtype = np.float64
+        # largest strength, which also caps every bound
+        self.top = max(a for cell in self.alpha for row in cell for a in row)
+        self.neg = _silent_level(self.alpha)
         # A level with top + r < 0 is clipped to 0 by every max(0, .) in both
-        # kernels, exactly like SILENT, so all such levels fold into SILENT.
+        # passes, exactly like SILENT, so all such levels fold into SILENT.
         self.levels = np.append(levels[self.top + levels >= 0], self.neg)
 
     def iter_r_chunks(self):
-        """Yield (rows, n) arrays covering the full exponent mesh in order."""
+        """Yield the exponent columns, one per user, of each mesh chunk in order."""
         base = len(self.levels)
         total = base**self.n
         radix = [base ** (self.n - 1 - i) for i in range(self.n)]
@@ -116,89 +112,24 @@ class _Lattice:
         while start < total:
             stop = min(start + _CHUNK, total)
             idx = np.arange(start, stop, dtype=np.int64)
-            cols = [self.levels[(idx // radix[i]) % base] for i in range(self.n)]
-            yield np.stack(cols, axis=1)
+            yield [self.levels[(idx // radix[i]) % base] for i in range(self.n)]
             start = stop
 
-    def all_orders(self):
-        pools = [
-            sorted(itertools.permutations(range(1, lk + 1))) for lk in self.net.L
-        ]
-        return list(itertools.product(*pools))
-
-    def bounds_ibc(self, order, R: np.ndarray) -> np.ndarray:
-        alpha, flat, neg = self.alpha, self.flat, self.neg
-        K = self.net.K
-        rows = R.shape[0]
-        cell_max = []
-        for j in range(1, K + 1):
-            cols = [R[:, flat[(j, l)]] for l in range(1, self.net.L[j - 1] + 1)]
-            cell_max.append(np.max(np.stack(cols, axis=1), axis=1))
-        out = np.zeros((rows, self.n), dtype=self.dtype)
-        zero = np.zeros(rows, dtype=self.dtype)
-        for k in range(1, K + 1):
-            perm = order[k - 1]
-            Lk = len(perm)
-            for l in range(1, Lk + 1):
-                u = perm[l - 1]
-                r_u = R[:, flat[(k, u)]]
-                later = [R[:, flat[(k, perm[j - 1])]] for j in range(l + 1, Lk + 1)]
-                if later:
-                    a_term = np.max(np.stack(later, axis=1), axis=1)
-                else:
-                    a_term = np.full(rows, neg, dtype=self.dtype)
-                best = None
-                for m in range(l, Lk + 1):
-                    obs = perm[m - 1]
-                    a_obs = alpha[k - 1][obs - 1][k - 1]
-                    cross = np.full(rows, neg, dtype=self.dtype)
-                    for j in range(1, K + 1):
-                        if j != k:
-                            np.maximum(cross, alpha[k - 1][obs - 1][j - 1] + cell_max[j - 1], out=cross)
-                    hit = np.maximum(zero, np.maximum(a_obs + a_term, cross))
-                    term = a_obs + r_u - hit
-                    best = term if best is None else np.minimum(best, term)
-                out[:, flat[(k, u)]] = np.maximum(zero, best)
-        return out
-
-    def bounds_imac(self, order, R: np.ndarray) -> np.ndarray:
-        alpha, flat, neg = self.alpha, self.flat, self.neg
-        K = self.net.K
-        rows = R.shape[0]
-        # received power of every user at every base station
-        rx = {}
-        for j in range(1, K + 1):
-            for lj in range(1, self.net.L[j - 1] + 1):
-                col = R[:, flat[(j, lj)]]
-                for k in range(1, K + 1):
-                    rx[(j, lj, k)] = alpha[j - 1][lj - 1][k - 1] + col
-        out = np.zeros((rows, self.n), dtype=self.dtype)
-        zero = np.zeros(rows, dtype=self.dtype)
-        for k in range(1, K + 1):
-            perm = order[k - 1]
-            Lk = len(perm)
-            inter = np.full(rows, neg, dtype=self.dtype)
-            for j in range(1, K + 1):
-                if j == k:
-                    continue
-                for lj in range(1, self.net.L[j - 1] + 1):
-                    np.maximum(inter, rx[(j, lj, k)], out=inter)
-            intra = np.full(rows, neg, dtype=self.dtype)
-            for l in range(1, Lk + 1):
-                u = perm[l - 1]
-                d = rx[(k, u, k)] - np.maximum(zero, np.maximum(intra, inter))
-                out[:, flat[(k, u)]] = np.maximum(zero, d)
-                np.maximum(intra, rx[(k, u, k)], out=intra)
-        return out
-
-    def bounds(self, side: str, order, R: np.ndarray) -> np.ndarray:
-        return self.bounds_ibc(order, R) if side == "ibc" else self.bounds_imac(order, R)
+    def bounds(self, side: str, order, cols) -> np.ndarray:
+        """The clipped bounds, one row per mesh point, of the decode order on
+        the exponent columns ``cols`` (in ``net.users()`` order)."""
+        it = iter(cols)
+        r = [[next(it) for _ in range(lk)] for lk in self.net.L]
+        pass_ = _ibc_pass if side == "ibc" else _imac_pass
+        _, pre = pass_(order, self.alpha, r, self.neg, np.maximum, np.minimum)
+        return np.maximum(0, np.stack(pre, axis=1))
 
     def iter_bounds(self, side: str):
         """Yield the bound arrays of every decode order and mesh chunk."""
-        for order in self.all_orders():
-            for R in self.iter_r_chunks():
-                yield self.bounds(side, order, R)
+        perms = (itertools.permutations(range(1, lk + 1)) for lk in self.net.L)
+        for order in itertools.product(*perms):
+            for cols in self.iter_r_chunks():
+                yield self.bounds(side, order, cols)
 
 
 def _lattice(net, side, grid, mode, budget) -> _Lattice:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionMismatchError, EmptyRegionError, PreconditionError
-from .network import ChannelStrengths, UserId, as_fraction
+from .network import ChannelStrengths, UserId, _exact, as_fraction
 from .simplex import solve_lp
 
 
@@ -200,13 +200,6 @@ def polyhedral_region(
     return PolyhedralRegion(users=users, zero=zero, constraints=tuple(constraints))
 
 
-def _exact(d: Sequence) -> list:
-    """The coordinates of ``d`` as ints and Fractions; any other value is
-    read with :func:`~tincell.network.as_fraction` (a float through its
-    decimal text, NaN and infinities refused)."""
-    return [x if type(x) is int or type(x) is Fraction else as_fraction(x) for x in d]
-
-
 def contains(region: PolyhedralRegion, d: Sequence) -> bool:
     """Membership test: d >= 0, zero-forced coordinates vanish, all
     constraints hold.
@@ -236,25 +229,33 @@ def contains(region: PolyhedralRegion, d: Sequence) -> bool:
     return True
 
 
-def _all_suborders(subnet: Subnetwork):
-    """Every decode order on the subnetwork, lexicographically per cell."""
+@functools.lru_cache(maxsize=4096)
+def _suborder_pools(subnet: Subnetwork) -> tuple:
+    """The subnetwork's cells and each one's slot permutations (already
+    lexicographic: ``permutations`` of an ascending tuple)."""
     M = subnet.cells()
-    pools = [sorted(itertools.permutations(subnet.slots(i))) for i in M]
+    return M, tuple(tuple(itertools.permutations(subnet.slots(i))) for i in M)
+
+
+def _all_suborders(subnet: Subnetwork):
+    """Every decode order on the subnetwork, lexicographically per cell, as
+    a fresh dict each (witnesses reach callers)."""
+    M, pools = _suborder_pools(subnet)
     for combo in itertools.product(*pools):
         yield dict(zip(M, combo))
 
 
-def _all_subnetworks(net: ChannelStrengths):
-    """Subnetworks in decreasing total size, lexicographic within a size."""
-    per_cell = []
-    for lk in net.L:
-        subsets = []
-        for m in range(lk + 1):
-            subsets.extend(itertools.combinations(range(1, lk + 1), m))
-        per_cell.append(subsets)
-    everything = [Subnetwork(choice) for choice in itertools.product(*per_cell)]
-    everything.sort(key=lambda s: (-s.size(), s.slots_by_cell))
-    return everything
+def _all_subnetworks(net: ChannelStrengths) -> tuple[Subnetwork, ...]:
+    """Subnetworks in decreasing total size, lexicographic within a size;
+    one shared tuple per cell-size vector ``L``."""
+    return _subnetworks(tuple(net.L))
+
+
+@functools.lru_cache(maxsize=64)
+def _subnetworks(L: tuple[int, ...]) -> tuple[Subnetwork, ...]:
+    per_cell = [[s for m in range(lk + 1) for s in itertools.combinations(range(1, lk + 1), m)] for lk in L]
+    subnets = (Subnetwork(choice) for choice in itertools.product(*per_cell))
+    return tuple(sorted(subnets, key=lambda s: (-s.size(), s.slots_by_cell)))
 
 
 def _union_regions(net: ChannelStrengths):

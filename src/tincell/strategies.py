@@ -23,10 +23,18 @@ multiple of ``1/E``, and each max, add and clip runs on those ints.  Only
 the results become ``Fraction(n, E)``: every downlink level, every uplink
 level above the noise floor (a clipped one is the int 0), and every
 positive bound (a zero bound is one shared ``Fraction(0)``).
+
+The bound is written once per side, in :func:`_ibc_pass` and
+:func:`_imac_pass`, which run here on ints with :func:`_max` / :func:`_min`
+and in the grid oracle on numpy columns with ``np.maximum`` / ``np.minimum``.
+Neither meets ``-inf``: SILENT enters them as ``-(largest lattice strength
++ 1)``, which every link carries below zero, so the clip and the noise floor
+drop it from every max, and a SILENT user's own unclipped bound is negative.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -34,12 +42,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, NetworkFormatError
-from .network import ChannelStrengths, _is_int, _is_int_lists, as_fraction, parse_decimal
+from .network import ChannelStrengths, _exact, _is_int, _is_int_lists, as_fraction, parse_decimal
 
 #: Sentinel for a user that transmits nothing / is allocated no power.
 SILENT = None
-
-NEG_INF = float("-inf")
 
 PowerExponent = Optional[Fraction]  # None == SILENT
 
@@ -123,77 +129,86 @@ def check_dimensions(net: ChannelStrengths, order: DecodingOrder, power: PowerAl
         raise DimensionMismatchError(f"power shape {[len(c) for c in power.r]} != L {list(net.L)}")
 
 
+@functools.lru_cache(maxsize=256)
+def _silent_level(ints) -> int:
+    """The SILENT sentinel ``-(largest strength + 1)`` on a lattice of
+    strengths ``ints`` (nested tuples, so that the value is cached)."""
+    return -1 - max(max(row) for cell in ints for row in cell)
+
+
 def _on_lattice(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocation):
-    """``(E, ints, r)`` after the dimension check: the strengths and the
-    exponents (nested like ``power.r``, SILENT kept) as Python ints on one
-    lattice of step ``1/E``."""
+    """``(E, ints, r, neg)`` after the dimension check: the strengths and the
+    exponents (nested like ``power.r``) as Python ints on one lattice of step
+    ``1/E``, with SILENT replaced by the sentinel ``neg``."""
     check_dimensions(net, order, power)
     E, ints = net.lattice(*[x.denominator for cell in power.r for x in cell if x is not SILENT])
-    r = [[x if x is SILENT else x.numerator * (E // x.denominator) for x in cell] for cell in power.r]
-    return E, ints, r
+    neg = _silent_level(ints)
+    r = [[neg if x is SILENT else x.numerator * (E // x.denominator) for x in cell] for cell in power.r]
+    return E, ints, r, neg
 
 
-def _ibc_levels(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocation):
-    """``(E, gamma, received)`` of a downlink strategy on its lattice, flat
-    in ``net.users()`` order: ``received`` is ``direct + r``, SILENT kept.
+def _max(a, b):
+    return a if a > b else b
 
-    One reverse pass per cell keeps both maxima over later positions: the
-    largest exponent decoded later, and over observers at or after the
-    position the clipped out-of-cell interference minus the direct link.
-    An observer's out-of-cell interference is its cross strength plus the
-    largest exponent of each other cell with an active user; an int never
-    meets the float ``-inf`` in a sum, which a large lattice would overflow.
-    """
-    E, ints, r = _on_lattice(net, order, power)
-    tops = [(j0, max(xs)) for j0, cell in enumerate(r) if (xs := [x for x in cell if x is not SILENT])]
-    gamma, received = [], []
-    for k0, perm in enumerate(order.pi):
-        rows, rk = ints[k0], r[k0]
-        others = [(j0, t) for j0, t in tops if j0 != k0]
-        g, rec = [0] * len(perm), [SILENT] * len(perm)
-        later = seen = NEG_INF
-        for u in reversed(perm):
-            row = rows[u - 1]
-            cross = 0  # the clip (.)^+ of the out-of-cell interference
-            for j0, t in others:
-                if row[j0] + t > cross:
-                    cross = row[j0] + t
-            if cross - row[k0] > seen:
-                seen = cross - row[k0]
-            g[u - 1] = row[k0] + (later if later > seen else seen)
-            x = rk[u - 1]
-            if x is not SILENT:
-                rec[u - 1] = row[k0] + x
-                later = x if x > later else later
-        gamma += g
+
+def _min(a, b):
+    return a if a < b else b
+
+
+def _ibc_pass(pi, ints, r, neg, mx, mn):
+    """``(received, pre)`` of a downlink strategy, flat in user order:
+    ``direct + r`` and the bound before its clip, the min over same-cell
+    observers ``m`` at or after the user's position of ``(direct(m) + r) -
+    max(direct(m) + later, cross(m)^+)``.  ``later`` is the largest exponent
+    decoded after the user; ``cross(m)``, computed once per observer, is its
+    cross strength plus the largest exponent of each other cell."""
+    tops = [functools.reduce(mx, cell) for cell in r]
+    received, pre = [], []
+    for k0, (perm, rows, rk) in enumerate(zip(pi, ints, r)):
+        observers = []  # (direct, cross^+) in decode order
+        for m in perm:
+            row, cross = rows[m - 1], 0
+            for j0, t in enumerate(tops):
+                if j0 != k0:
+                    cross = mx(cross, row[j0] + t)
+            observers.append((row[k0], cross))
+        rec, b = [None] * len(perm), [None] * len(perm)
+        later = neg
+        for pos in range(len(perm) - 1, -1, -1):
+            u0 = perm[pos] - 1
+            x = rk[u0]
+            a, c = observers[pos]
+            rec[u0] = a + x
+            best = (a + x) - mx(a + later, c)
+            for a, c in observers[pos + 1:]:
+                best = mn(best, (a + x) - mx(a + later, c))
+            b[u0] = best
+            later = mx(later, x)
         received += rec
-    return E, gamma, received
+        pre += b
+    return received, pre
 
 
-def _imac_levels(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocation):
-    """``(E, gamma, received)`` of an uplink strategy, as for
-    :func:`_ibc_levels`.  One forward pass per cell keeps the running
-    maximum of the out-of-cell and the not-yet-cancelled same-cell
-    received powers, clipped at the noise floor."""
-    E, ints, r = _on_lattice(net, order, power)
-    gamma, received = [], []
-    for k0, perm in enumerate(order.pi):
-        level = 0  # the clip at the noise floor
-        for j0, cell in enumerate(r):
+def _imac_pass(pi, ints, r, neg, mx, mn):
+    """As :func:`_ibc_pass` (whose signature it shares), uplink: the bound
+    is ``received - level``, with ``level`` the largest of the noise floor,
+    the out-of-cell received powers and the same-cell ones decoded before."""
+    received, pre = [], []
+    for k0, perm in enumerate(pi):
+        level = 0  # the noise floor
+        for j0, (rows, cell) in enumerate(zip(ints, r)):
             if j0 != k0:
-                for row, x in zip(ints[j0], cell):
-                    if x is not SILENT and row[k0] + x > level:
-                        level = row[k0] + x
+                for row, x in zip(rows, cell):
+                    level = mx(level, row[k0] + x)
         rows, rk = ints[k0], r[k0]
-        g, rec = [0] * len(perm), [SILENT] * len(perm)
+        rec, b = [None] * len(perm), [None] * len(perm)
         for u in perm:
-            g[u - 1] = level
-            if rk[u - 1] is not SILENT:
-                rec[u - 1] = p = rows[u - 1][k0] + rk[u - 1]
-                level = p if p > level else level
-        gamma += g
+            rec[u - 1] = p = rows[u - 1][k0] + rk[u - 1]
+            b[u - 1] = p - level
+            level = mx(level, p)
         received += rec
-    return E, gamma, received
+        pre += b
+    return received, pre
 
 
 def gamma_ibc(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocation) -> tuple:
@@ -204,7 +219,9 @@ def gamma_ibc(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocatio
     positions ``m >= l``, the clipped out-of-cell interference seen by that
     observer relative to its direct link.  Always nonnegative.
     """
-    E, gamma, _ = _ibc_levels(net, order, power)
+    E, ints, r, neg = _on_lattice(net, order, power)
+    received, pre = _ibc_pass(order.pi, ints, r, neg, _max, _min)
+    gamma = [p - b for p, b in zip(received, pre)]
     assert all(g >= 0 for g in gamma)
     return tuple(Fraction(g, E) for g in gamma)
 
@@ -217,18 +234,17 @@ def gamma_imac(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocati
     later) plus every out-of-cell user, clipped at the noise floor, where
     the level is the int 0.
     """
-    E, gamma, _ = _imac_levels(net, order, power)
-    return tuple(Fraction(g, E) if g else 0 for g in gamma)
+    E, ints, r, neg = _on_lattice(net, order, power)
+    received, pre = _imac_pass(order.pi, ints, r, neg, _max, _min)
+    return tuple(Fraction(p - b, E) if p != b else 0 for p, b in zip(received, pre))
 
 
 _ZERO = Fraction(0)
 
 
-def _bounds(E: int, gamma: list, received: list) -> tuple:
+def _bounds(E: int, pre: list) -> tuple:
     """``(direct + r - gamma)^+`` per user, 0 for SILENT users."""
-    return tuple([
-        _ZERO if p is SILENT or p <= g else Fraction(p - g, E) for p, g in zip(received, gamma)
-    ])
+    return tuple([_ZERO if b <= 0 else Fraction(b, E) for b in pre])
 
 
 def gdof_bounds_ibc(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocation) -> tuple:
@@ -239,14 +255,18 @@ def gdof_bounds_ibc(net: ChannelStrengths, order: DecodingOrder, power: PowerAll
     ``m >= l`` of the observer's direct strength plus the user's exponent
     minus the dominant interference-plus-residual term.  SILENT users get 0.
     """
-    return _bounds(*_ibc_levels(net, order, power))
+    E, ints, r, neg = _on_lattice(net, order, power)
+    _, pre = _ibc_pass(order.pi, ints, r, neg, _max, _min)
+    return _bounds(E, pre)
 
 
 def gdof_bounds_imac(net: ChannelStrengths, order: DecodingOrder, power: PowerAllocation) -> tuple:
     """Componentwise-largest uplink GDoF tuple achievable with the strategy:
     ``(direct + r - gamma)^+`` with ``gamma`` from :func:`gamma_imac`, and 0
     for SILENT users."""
-    return _bounds(*_imac_levels(net, order, power))
+    E, ints, r, neg = _on_lattice(net, order, power)
+    _, pre = _imac_pass(order.pi, ints, r, neg, _max, _min)
+    return _bounds(E, pre)
 
 
 def gdof_bounds(net: ChannelStrengths, strategy: Strategy) -> tuple:
@@ -256,11 +276,12 @@ def gdof_bounds(net: ChannelStrengths, strategy: Strategy) -> tuple:
 
 
 def achievable_with_strategy(net: ChannelStrengths, strategy: Strategy, d: Sequence) -> bool:
-    """True iff ``d`` lies below the strategy's per-user bounds componentwise."""
+    """True iff ``d`` lies below the strategy's per-user bounds componentwise;
+    ``d`` is read as :func:`~tincell.regions.contains` reads it."""
     bounds = gdof_bounds(net, strategy)
     if len(d) != len(bounds):
         raise DimensionMismatchError(f"tuple of length {len(d)}, expected {len(bounds)}")
-    return all(di <= bi for di, bi in zip(d, bounds))
+    return all(di <= bi for di, bi in zip(_exact(d), bounds))
 
 
 def sinr_rates_ibc(

@@ -137,6 +137,27 @@ def test_oracle_summary_and_csv(capsys, net_file):
     assert len(lines) == doc["count"] + 1
 
 
+def test_oracle_float_mode_bits_are_pinned(capsys, tmp_path):
+    # The float bound's last bits depend on how the downlink bound is
+    # associated: (direct(m) + r) - max(direct(m) + later, cross(m)^+) per
+    # observer gives 0.6299999999999998 and 1.1099999999999999 at the
+    # argmax, so the weighted sum prints 4.589999999999999, where the gamma
+    # form direct + r - (direct + max(later, seen)) gives 4.59.
+    path = tmp_path / "net.json"
+    path.write_text(
+        '{"K": 3, "L": [2, 1, 1], "alpha": [[[0.52, 0.04, 0.17], [1.91, 0.68, 1.05]], '
+        '[[0.63, 1.14, 0.15]], [[0.45, 0.72, 0.11]]]}'
+    )
+    got = {}
+    for mode in ("--float", "--exact"):
+        code, doc = invoke_json(
+            capsys, "oracle", "--net", str(path), "--grid", "0.1", "--weights", "1,2,3,4", mode
+        )
+        assert code == 0
+        got[mode] = repr(doc["max_sum"])
+    assert got == {"--float": "4.589999999999999", "--exact": "4.59"}
+
+
 def test_oracle_rmax_alone_controls_depth(capsys, net_file):
     code, doc = invoke_json(
         capsys, "oracle", "--net", net_file, "--side", "ibc", "--rmax", "0.5",

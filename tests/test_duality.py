@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tincell as tc
+from tincell.sampling import random_dims, random_network, random_strategy
 from tincell.strategies import SILENT
 
 from conftest import mknet, nets, nets_with_strategy
@@ -16,6 +18,23 @@ def id_order(net):
 def powers(net, rows):
     return tc.PowerAllocation(tuple(tuple(
         None if x is None else Fraction(str(x)) for x in row) for row in rows))
+
+
+def test_normalize_returns_its_inputs_when_the_order_holds():
+    rng = random.Random(5)
+    held = moved = 0
+    for _ in range(300):
+        net = random_network(rng, *random_dims(rng))
+        s = random_strategy(rng, net, "imac")
+        order, power = tc.normalize_imac_strategy(net, s.order, s.power)
+        if tc.satisfies_received_power_order(net, s.order, s.power):
+            assert order is s.order and power is s.power
+            held += 1
+        else:
+            assert (order, power) != (s.order, s.power)
+            assert tc.normalize_imac_strategy(net, order, power) == (order, power)
+            moved += 1
+    assert held and moved
 
 
 # --- forward transform ------------------------------------------------------

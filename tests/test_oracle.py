@@ -10,6 +10,7 @@ from tincell.oracle import GridSpec, _Lattice, default_grid, strategy_count
 from tincell.strategies import SILENT, DecodingOrder, PowerAllocation
 
 from conftest import mknet
+from strategy_reference import _ref_bounds
 
 
 def test_grid_levels_and_validation():
@@ -131,8 +132,8 @@ def test_strategy_count_formula(net_a):
 
 
 def test_vectorized_bounds_match_scalar_evaluation():
-    # the lattice kernels reimplement the bound formulas; they must agree
-    # with the per-strategy evaluators on the same exponents, exactly
+    # the oracle's columns must give the bounds of the Fraction reference
+    # evaluators, which share no code with the strategy passes, exactly
     rng = random.Random(3)
     grid = GridSpec(step=Fraction(1, 20), depth=Fraction(2))
     for _ in range(6):
@@ -145,14 +146,12 @@ def test_vectorized_bounds_match_scalar_evaluation():
         for side in ("ibc", "imac"):
             for _ in range(8):
                 s = random_strategy(rng, net, side)
-                row = []
+                cols = []
                 for u in net.users():
                     x = s.power.of(u.cell, u.slot)
-                    row.append(lat.neg if x is SILENT else int(x * lat.scale))
-                R = np.array([row], dtype=np.int64)
-                got = lat.bounds(side, tuple(s.order.pi), R)[0]
-                fn = tc.gdof_bounds_ibc if side == "ibc" else tc.gdof_bounds_imac
-                want = fn(net, s.order, s.power)
+                    cols.append(np.array([lat.neg if x is SILENT else int(x * lat.scale)], dtype=np.int64))
+                got = lat.bounds(side, tuple(s.order.pi), cols)[0]
+                want = _ref_bounds(net, side, s.order, s.power)
                 assert [Fraction(int(v), lat.scale) for v in got] == list(want)
 
 
@@ -180,18 +179,17 @@ def test_exact_max_sum_does_not_wrap_int64():
 
 
 def _scalar_grid_points(net, side, grid):
-    """Bounds of every (order, grid power) strategy, evaluated one by one."""
+    """Reference bounds of every (order, grid power) strategy, one by one."""
     q = int(grid.depth / grid.step)
     levels = [-k * grid.step for k in range(q + 1)] + [SILENT]
     pools = [sorted(itertools.permutations(range(1, lk + 1))) for lk in net.L]
-    fn = tc.gdof_bounds_ibc if side == "ibc" else tc.gdof_bounds_imac
     points = set()
     for pi in itertools.product(*pools):
         order = DecodingOrder(tuple(pi))
         for flat in itertools.product(levels, repeat=net.n_users):
             it = iter(flat)
             power = PowerAllocation(tuple(tuple(next(it) for _ in range(lk)) for lk in net.L))
-            points.add(tuple(fn(net, order, power)))
+            points.add(tuple(_ref_bounds(net, side, order, power)))
     return points
 
 

@@ -246,6 +246,22 @@ def _counting(monkeypatch, builder):
     return calls
 
 
+def test_subnetwork_list_is_shared_per_cell_sizes():
+    rng = random.Random(8)
+    a, b = random_network(rng, 3, [2, 1, 2]), random_network(rng, 3, [2, 1, 2])
+    subnets = _all_subnetworks(a)
+    assert type(subnets) is tuple and subnets is _all_subnetworks(b)
+    assert len(subnets) == 4 * 2 * 4 and subnets[0] == tc.Subnetwork.full(a)
+    assert [(-s.size(), s.slots_by_cell) for s in subnets] == sorted((-s.size(), s.slots_by_cell) for s in subnets)
+    for subnet in subnets:
+        orders = list(_all_suborders(subnet))
+        again = list(_all_suborders(subnet))
+        # lexicographic per cell, and a fresh dict per order
+        assert [tuple(o.values()) for o in orders] == sorted(tuple(o.values()) for o in orders)
+        assert orders == again and all(x is not y for x, y in zip(orders, again))
+        assert len(orders) == math.prod(math.factorial(len(subnet.slots(i))) for i in subnet.cells())
+
+
 @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 2, 2, 2)])
 def test_union_search_builds_the_same_regions_in_the_same_order(monkeypatch, shape):
     net = _general_net(shape)

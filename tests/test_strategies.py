@@ -10,6 +10,7 @@ from tincell.oracle import GridSpec, _Lattice
 from tincell.strategies import SILENT
 
 from conftest import mknet, nets_with_strategy
+from strategy_reference import _ref_bounds
 
 
 def id_order(net):
@@ -91,18 +92,19 @@ def test_dimension_mismatch_raises(net_a, bc2):
         tc.gdof_bounds_ibc(net_a, id_order(bc2), powers(bc2, [[0, 0]]))
 
 
-# --- two routes: gamma form vs the oracle's min-over-observers kernel ---------
+# --- the strategy passes, on ints and on oracle columns, vs the gamma form ---
+# of the Fraction reference evaluators
 
 
 def _kernel_bounds(net, side, strategy):
-    """Bounds from the oracle's vectorized min-over-observers kernel, which
-    does not go through gamma, evaluated on a one-row exponent matrix."""
+    """Bounds from the oracle's columns (the strategy passes on numpy
+    int64), evaluated on one-row exponent columns."""
     lat = _Lattice(net, GridSpec(step=Fraction(1, 20), depth=Fraction(2)), "exact")
-    row = []
+    cols = []
     for u in net.users():
         x = strategy.power.of(u.cell, u.slot)
-        row.append(lat.neg if x is SILENT else int(x * lat.scale))
-    got = lat.bounds(side, strategy.order.pi, np.array([row], dtype=np.int64))[0]
+        cols.append(np.array([lat.neg if x is SILENT else int(x * lat.scale)], dtype=np.int64))
+    got = lat.bounds(side, strategy.order.pi, cols)[0]
     return tuple(Fraction(int(v), lat.scale) for v in got)
 
 
@@ -111,7 +113,7 @@ def _kernel_bounds(net, side, strategy):
 def test_bounds_ibc_equal_gamma_route(net_strategy):
     net, strategy = net_strategy
     bounds = tc.gdof_bounds_ibc(net, strategy.order, strategy.power)
-    assert bounds == _kernel_bounds(net, "ibc", strategy)
+    assert bounds == _ref_bounds(net, "ibc", strategy.order, strategy.power) == _kernel_bounds(net, "ibc", strategy)
 
 
 @given(nets_with_strategy("imac"))
@@ -119,7 +121,7 @@ def test_bounds_ibc_equal_gamma_route(net_strategy):
 def test_bounds_imac_equal_gamma_route(net_strategy):
     net, strategy = net_strategy
     bounds = tc.gdof_bounds_imac(net, strategy.order, strategy.power)
-    assert bounds == _kernel_bounds(net, "imac", strategy)
+    assert bounds == _ref_bounds(net, "imac", strategy.order, strategy.power) == _kernel_bounds(net, "imac", strategy)
 
 
 @given(nets_with_strategy("ibc"))
@@ -159,6 +161,20 @@ def test_achievable_boundary_and_epsilon(bc2):
     bumped = (bounds[0] + Fraction(1, 1000), bounds[1])
     assert not tc.achievable_with_strategy(bc2, strategy, bumped)
     assert tc.achievable_with_strategy(bc2, strategy, (0, 0))
+
+
+def test_achievable_reads_d_as_contains_does():
+    net = mknet([[[0.1]]])
+    strategy = tc.Strategy("ibc", id_order(net), powers(net, [[0]]))
+    assert tc.gdof_bounds(net, strategy) == (Fraction(1, 10),)
+    # the float 0.1 is read through its decimal text, not its binary value
+    for d in ([0.1], [np.float64(0.1)], [Fraction(1, 10)], [np.int64(0)], [0]):
+        assert tc.achievable_with_strategy(net, strategy, d), d
+    for d in ([0.11], [np.float64(0.11)], [np.int64(1)]):
+        assert not tc.achievable_with_strategy(net, strategy, d), d
+    for bad in (math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")):
+        with pytest.raises(ValueError):
+            tc.achievable_with_strategy(net, strategy, [bad])
 
 
 # --- finite SNR -------------------------------------------------------------
