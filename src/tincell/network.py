@@ -199,6 +199,14 @@ class ChannelStrengths:
         )
         return D, ints
 
+    @functools.cached_property
+    def _blocks(self) -> dict:
+        """Constraint blocks that :func:`~tincell.regions.polyhedral_region`
+        shares between the regions of this network, created empty per
+        network object; like :attr:`scaled`, it never shows in equality,
+        hashing or ``repr``."""
+        return {}
+
     def lattice(self, *denominators: int) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
         """``(E, ints)`` with ``E = lcm(D, *denominators)`` and the strengths
         times ``E`` as Python ints, so that values with those denominators

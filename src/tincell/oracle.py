@@ -125,10 +125,12 @@ class _Lattice:
         return np.maximum(0, np.stack(pre, axis=1))
 
     def iter_bounds(self, side: str):
-        """Yield the bound arrays of every decode order and mesh chunk."""
+        """Yield the bound arrays of every mesh chunk and decode order; each
+        chunk is built once and every order runs on it."""
         perms = (itertools.permutations(range(1, lk + 1)) for lk in self.net.L)
-        for order in itertools.product(*perms):
-            for cols in self.iter_r_chunks():
+        orders = tuple(itertools.product(*perms))
+        for cols in self.iter_r_chunks():
+            for order in orders:
                 yield self.bounds(side, order, cols)
 
 

@@ -11,6 +11,15 @@ back once, so they stay exact and equal to the rational sums.  Membership
 runs on ints too: a point is read once onto its own lattice (the lcm of its
 coordinate denominators), and each constraint is one cross-multiplied
 integer comparison against the bound's numerator and denominator.
+
+The regions of a union share most of their constraints: a prefix block
+depends on one cell's decode order, and a cyclic block on the orders of
+the cells in its sequence.  :func:`polyhedral_region` therefore keeps such
+blocks in a dict on the network object and builds only what belongs to one
+region: the constraints of the cyclic sequences over every cell of the
+network, which are never stored.  The cache is bounded by the distinct
+shorter keys and lives as long as the network object (one request in the
+CLI, which parses a fresh network per request).
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -30,11 +40,16 @@ from .simplex import solve_lp
 
 @dataclass(frozen=True)
 class Subnetwork:
-    """Per-cell participating slot subsets; cells with an empty subset drop out."""
+    """Per-cell participating slot subsets; cells with an empty subset drop out.
+
+    The subsets are stored as tuples of ints whatever sequences of integers
+    they were given as, so equal subnetworks compare and hash equal.
+    """
 
     slots_by_cell: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "slots_by_cell", tuple(tuple(map(operator.index, s)) for s in self.slots_by_cell))
         for k, slots in enumerate(self.slots_by_cell):
             if list(slots) != sorted(set(slots)):
                 raise ValueError(f"cell {k + 1}: subset {slots} must be sorted and duplicate-free")
@@ -156,6 +171,55 @@ def _bound(total: int, D: int) -> Fraction:
     return Fraction(total, D)
 
 
+def _pick(idx: list[int]):
+    """A function returning the tuple of entries ``idx`` of its argument."""
+    return operator.itemgetter(*idx) if len(idx) > 1 else lambda p, j=idx[0]: (p[j],)
+
+
+@functools.cache
+def _cycle_plan(M: tuple[int, ...], K: int) -> tuple:
+    """Per cyclic sequence over the cells ``M`` of a ``K``-cell network:
+    ``(seq, positions, last, pick)``.  ``positions`` pairs each cell of
+    ``seq`` with its wrap-around predecessor.  For a sequence over all ``K``
+    cells, ``last`` is the index in ``M`` of its last cell and ``pick``
+    takes the perms of the other cells from a candidate's perms (one per
+    cell of ``M``); otherwise ``last`` is None and ``pick`` takes the perms
+    of every cell of ``seq``."""
+    at = {i: j for j, i in enumerate(M)}
+    plan = []
+    for seq in _cycles(M):
+        positions = tuple(zip(seq, seq[-1:] + seq[:-1]))
+        last = at[seq[-1]] if len(seq) == K else None
+        plan.append((seq, positions, last, _pick([at[i] for i in (seq if last is None else seq[:-1])])))
+    return tuple(plan)
+
+
+def _step(net: ChannelStrengths, blocks: dict, i: int, prev: int, perm: tuple[int, ...]) -> tuple:
+    """``(prefix group, scaled margin against prev)`` for each prefix of
+    ``perm`` in cell ``i``, kept in the network's block cache."""
+    key = (i, prev, perm)
+    step = blocks.get(key)
+    if step is None:
+        rows = net.scaled[1][i - 1]
+        step = blocks[key] = tuple(
+            (group, rows[top - 1][i - 1] - rows[top - 1][prev - 1])
+            for group, top in zip(_prefix_groups(i, perm), perm)
+        )
+    return step
+
+
+def _fold(steps) -> Sequence:
+    """(group, scaled sum) over the positions of ``steps``, extended one
+    position at a time.  The last position varies fastest and groups are
+    joined left to right, so constraint order and each frozenset's member
+    order (hence the region's repr) follow itertools.product and
+    groups[0].union(*groups[1:])."""
+    pairs = steps[0]
+    for step in steps[1:]:
+        pairs = [(g0 | g, s0 + m) for g0, s0 in pairs for g, m in step]
+    return pairs
+
+
 def polyhedral_region(
     net: ChannelStrengths, order: SubnetOrder, subnet: Subnetwork
 ) -> PolyhedralRegion:
@@ -165,39 +229,69 @@ def polyhedral_region(
     constraint per cyclic cell sequence of length >= 2 and per choice of
     per-cell prefix lengths, with the predecessor cell wrapping around the
     sequence.  No redundancy elimination is attempted.
+
+    The regions of a union share most of their constraints, so each is
+    assembled from blocks kept in the network object's block cache
+    (:attr:`ChannelStrengths._blocks`), and only its own part is built:
+
+    - the prefix constraints of each ``(cell, perm)``, and each cell's
+      ``(group, scaled margin)`` steps against each predecessor cell;
+    - the zero-forced set of each subnetwork;
+    - the constraints of each cyclic sequence that misses some cell of the
+      network, keyed by the sequence and the perms of its cells, since they
+      recur for every choice of the other cells' orders;
+    - for a sequence over all cells, the (group, scaled sum) pairs of its
+      positions but the last, keyed by the sequence and those positions'
+      perms (the wrap predecessor of the first position is the last cell,
+      fixed by the sequence).  Only the last position is joined per region.
+
+    The constraints of a sequence over all cells name every cell's perm,
+    so they belong to one region and are never stored.  The cache thus
+    holds at most one entry per distinct shorter key, whatever the number
+    of regions built, and it lives as long as the network object.  Blocks
+    are built as the region's own constraints would be, so a region is
+    the same, down to its ``repr``, whichever regions were built before.
     """
     if len(subnet.slots_by_cell) != net.K or any(
         slots and slots[-1] > net.L[k] for k, slots in enumerate(subnet.slots_by_cell)
     ):
         raise DimensionMismatchError("subnetwork does not fit the network")
     M = subnet.cells()
+    perms = []
     for i in M:
-        if i not in order or sorted(order[i]) != list(subnet.slots(i)):
+        perm = tuple(map(operator.index, order[i])) if i in order else None
+        if perm is None or sorted(perm) != list(subnet.slots(i)):
             raise ValueError(f"order for cell {i} is not a bijection onto its subset")
-    users = net.users()
-    zero = frozenset(users) - subnet.members()
+        perms.append(perm)
+    blocks = net._blocks
+    zero = blocks.get(subnet)
+    if zero is None:
+        zero = blocks[subnet] = frozenset(net.users()) - subnet.members()
     constraints = []
-    prefixes = {}
-    for i in M:
-        perm = tuple(order[i])
-        prefixes[i] = tuple(zip(_prefix_groups(i, perm), perm))
-        constraints += [LinearConstraint(group, net.direct(i, top)) for group, top in prefixes[i]]
+    for i, perm in zip(M, perms):
+        block = blocks.get((i, perm))
+        if block is None:
+            block = blocks[i, perm] = tuple(
+                LinearConstraint(group, net.direct(i, top)) for group, top in zip(_prefix_groups(i, perm), perm)
+            )
+        constraints += block
     if len(M) >= 2:
-        D, ints = net.scaled
-        for seq in _cycles(M):
-            # (group, scaled sum) over the positions so far, extended one
-            # position at a time by each prefix group and its margin against
-            # the predecessor cell.  The last position varies fastest and
-            # groups are joined left to right, so constraint order and each
-            # frozenset's member order (hence the region's repr) follow
-            # itertools.product and groups[0].union(*groups[1:])
-            pairs = None
-            for i, prev in zip(seq, seq[-1:] + seq[:-1]):
-                rows = ints[i - 1]
-                step = [(group, rows[top - 1][i - 1] - rows[top - 1][prev - 1]) for group, top in prefixes[i]]
-                pairs = step if pairs is None else [(g0 | g, s0 + m) for g0, s0 in pairs for g, m in step]
-            constraints += [LinearConstraint(group, _bound(total, D)) for group, total in pairs]
-    return PolyhedralRegion(users=users, zero=zero, constraints=tuple(constraints))
+        D = net.scaled[0]
+        for seq, positions, last, pick in _cycle_plan(M, net.K):
+            key = (seq, pick(perms))
+            block = blocks.get(key)
+            if block is None:
+                # a head's perms stop one short, and so does this zip
+                pairs = _fold([_step(net, blocks, i, prev, perm) for (i, prev), perm in zip(positions, key[1])])
+                block = blocks[key] = pairs if last is not None else tuple(
+                    LinearConstraint(group, _bound(total, D)) for group, total in pairs
+                )
+            if last is None:
+                constraints += block
+            else:
+                step = _step(net, blocks, *positions[-1], perms[last])
+                constraints += [LinearConstraint(g0 | g, _bound(s0 + m, D)) for g0, s0 in block for g, m in step]
+    return PolyhedralRegion(users=net.users(), zero=zero, constraints=tuple(constraints))
 
 
 def contains(region: PolyhedralRegion, d: Sequence) -> bool:
@@ -275,9 +369,10 @@ def tina_region_contains(
     lexicographically; the first containing (order, subnetwork) pair is the
     witness.  ``d`` is read once, as :func:`contains` reads it.  Cost grows
     with the product of per-cell factorials, so keep networks small: a miss
-    builds every region, which took about 2.5 ms for L = (2, 2, 1), 30 ms
-    for (3, 2, 2), 70 ms for (2, 2, 2, 2), 75 ms for (3, 3, 2) and 0.32 s
-    for (3, 3, 3) on a shared 2-core VM under Python 3.11.
+    builds every region, which took about 1.1 ms for L = (2, 2, 1), 11 ms
+    for (3, 2, 2), 35 ms for (2, 2, 2, 2), 42 ms for (3, 3, 2) and 0.19 s
+    for (3, 3, 3) on a fresh network object (empty block cache; median of
+    3-5 runs on a shared 2-core VM under Python 3.11).
     """
     d = _exact(d)
     for order, subnet, region in _union_regions(net):

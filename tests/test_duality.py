@@ -8,7 +8,7 @@ import tincell as tc
 from tincell.sampling import random_dims, random_network, random_strategy
 from tincell.strategies import SILENT
 
-from conftest import mknet, nets, nets_with_strategy
+from sample_nets import mknet, nets, nets_with_strategy
 
 
 def id_order(net):

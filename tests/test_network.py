@@ -11,7 +11,7 @@ from tincell.network import as_fraction, parse_decimal
 from tincell.oracle import GridSpec, oracle_max_sum
 from tincell.strategies import PowerAllocation
 
-from conftest import mknet, nets
+from sample_nets import mknet, nets
 
 
 def test_parse_smallest_network():

@@ -9,7 +9,7 @@ import tincell as tc
 from tincell.oracle import GridSpec, _Lattice, default_grid, strategy_count
 from tincell.strategies import SILENT, DecodingOrder, PowerAllocation
 
-from conftest import mknet
+from sample_nets import mknet
 from strategy_reference import _ref_bounds
 
 

@@ -14,7 +14,7 @@ import tincell.regions
 from tincell.regions import _all_suborders, _all_subnetworks, _union_regions
 from tincell.sampling import random_network
 
-from conftest import MIXED_NETS, mknet, nets
+from sample_nets import MIXED_NETS, mknet, nets
 
 
 def full_region(net):
@@ -282,6 +282,80 @@ def test_union_search_builds_the_same_regions_in_the_same_order(monkeypatch, sha
         calls = _counting(monkeypatch, tc.polyhedral_region)
         assert tc.tina_region_contains(net, d) == expected
         assert expected[0] and calls == candidates[: candidates.index(expected[1]) + 1]
+
+
+# --- shared constraint blocks -----------------------------------------------
+
+
+def _fresh(net):
+    """An equal network object with an empty block cache."""
+    return tc.ChannelStrengths(K=net.K, L=net.L, alpha=net.alpha)
+
+
+BLOCK_NETS = SEEDED_NETS + MIXED_NETS + [_general_net((3, 2, 2)), _general_net((2, 2, 2, 2))]
+
+
+@pytest.mark.parametrize(
+    "index", range(len(BLOCK_NETS)),
+    ids=["seeded-21", "seeded-221", "seeded-322", "seeded-2222", "mixed-21", "mixed-221", "canonical-212",
+         "general-322", "general-2222"],
+)
+def test_regions_do_not_depend_on_what_was_built_before(index):
+    net = _fresh(BLOCK_NETS[index])
+    candidates = [(order, subnet) for subnet in _all_subnetworks(net) for order in _all_suborders(subnet)]
+    random.Random(index).shuffle(candidates)
+    for order, subnet in candidates:
+        region = tc.polyhedral_region(net, order, subnet)
+        assert repr(region) == repr(tc.polyhedral_region(_fresh(net), order, subnet))
+        ref = _reference_polyhedral_region(net, order, subnet)
+        assert (region.users, region.zero, region.constraints) == (ref.users, ref.zero, ref.constraints)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2), (2, 2, 2, 2)])
+def test_block_cache_is_bounded_by_the_shorter_keys(shape):
+    net = _fresh(_general_net(shape))
+    assert net._blocks == {} and _fresh(net)._blocks is not net._blocks
+    assert tc.tina_region_contains(net, [3] * net.n_users) == (False, None)
+    first = dict(net._blocks)
+    assert tc.tina_region_contains(net, [3] * net.n_users) == (False, None)
+    assert net._blocks.keys() == first.keys()  # a second miss adds nothing
+    assert all(net._blocks[key] is value for key, value in first.items())
+    # no stored constraint or partial sum joins every cell: the constraints
+    # of a sequence over all cells belong to one region and are not kept
+    groups = [
+        c.users if isinstance(c, tc.LinearConstraint) else c[0]
+        for value in first.values() if isinstance(value, (tuple, list))
+        for c in value
+    ]
+    assert groups and max(len({u.cell for u in g}) for g in groups) == net.K - 1
+    assert repr(net) == repr(_fresh(net)) and net == _fresh(net) and hash(net) == hash(_fresh(net))
+
+
+def test_subnetwork_reads_lists_and_numpy_ints_as_tuples_of_ints():
+    want = tc.Subnetwork(((1, 2), (1,)))
+    for slots in ([[1, 2], [1]], ([1, 2], (1,)), [np.array([1, 2]), [np.int64(1)]], ((np.int32(1), 2), (np.uint8(1),))):
+        subnet = tc.Subnetwork(slots)
+        assert subnet == want and hash(subnet) == hash(want) and repr(subnet) == repr(want)
+        assert all(type(s) is int for cell in subnet.slots_by_cell for s in cell)
+        assert all(type(u.slot) is int for u in subnet.members())
+    with pytest.raises(TypeError):
+        tc.Subnetwork(((1.0,), ()))
+    with pytest.raises(ValueError):
+        tc.Subnetwork(([2, 1], []))
+
+
+def test_region_reads_list_valued_and_numpy_int_orders(net_a):
+    # the prefix groups are cached per process: start empty, so that no
+    # earlier int-valued build can hide a numpy slot
+    tincell.regions._prefix_groups.cache_clear()
+    np_order = {1: (np.int64(2), np.int64(1)), 2: np.array([1])}
+    got = tc.polyhedral_region(_fresh(net_a), np_order, tc.Subnetwork(((1, 2), (1,))))
+    assert all(type(u.slot) is int for c in got.constraints for u in c.users)
+    want = tc.polyhedral_region(net_a, {1: (2, 1), 2: (1,)}, tc.Subnetwork(((1, 2), (1,))))
+    for order in ({1: [2, 1], 2: [1]}, {1: (2, 1), 2: [1]}, np_order):
+        got = tc.polyhedral_region(_fresh(net_a), order, tc.Subnetwork([[1, 2], [1]]))
+        assert repr(got) == repr(want)
+        assert repr(tc.polyhedral_region(net_a, order, tc.Subnetwork([[1, 2], [1]]))) == repr(want)
 
 
 # --- membership -------------------------------------------------------------

@@ -9,7 +9,7 @@ import tincell as tc
 from tincell.oracle import GridSpec, _Lattice
 from tincell.strategies import SILENT
 
-from conftest import mknet, nets_with_strategy
+from sample_nets import mknet, nets_with_strategy
 from strategy_reference import _ref_bounds
 
 

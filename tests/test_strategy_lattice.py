@@ -26,7 +26,7 @@ from tincell.strategies import (
     check_dimensions,
 )
 
-from conftest import MIXED_NETS, mknet
+from sample_nets import MIXED_NETS, mknet
 from strategy_reference import NEG_INF, _bounds_from_gamma, _ref_gamma_ibc, _ref_gamma_imac
 
 # ---------------------------------------------------------------------------
