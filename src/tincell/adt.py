@@ -11,12 +11,21 @@ distribution.
 
 One batched pass serves both receivers for n distributions at once, in
 the two checks and in the single-distribution helpers alike.  The four
-images (signal and interference, at a and at b) are stacked into one
-(4n, 2^q) array; one butterfly transforms all four, the elementwise
-products are inverted by one more butterfly over the (2n, 2^q) output
-laws, and one entropy pass validates and measures those laws.  H(y | x1)
-is taken only where it is read: by ``check_less_noisy`` and the
-single-distribution helpers.  The two checks:
+images (signal and interference, at a and at b) are stacked as the columns
+of one (2^q, 4n) array; one butterfly transforms all four, the elementwise
+products are inverted by one more butterfly over the (2^q, 2n) output
+laws, and one entropy pass validates and measures those laws, read back
+as rows.  H(y | x1) is taken only where it is read: by
+``check_less_noisy`` and the single-distribution helpers.
+
+A batch is either a sequence of ``AdtDistribution`` or one float64 array of
+shape (n, 2, 2^q), row i holding the marginals p1, p2 of law i; both are
+validated the same way and read into the same (2, n, 2^q) block.  The
+``adt`` verb draws its laws as one such array (``random_product_laws``)
+and builds an ``AdtDistribution`` only for the worst law it reports; the
+list generators (``random_product_dists``, ``random_table_dists``) and the
+single-distribution helpers still build one object per law.  The two
+checks:
 
 * ``check_less_noisy``  — receiver b learns at least as much about x1 as
   receiver a whenever its interference-free headroom covers the whole of
@@ -27,9 +36,10 @@ single-distribution helpers.  The two checks:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,7 +51,11 @@ DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AdtParams:
-    """Integer link strengths: (m1, m2) at receiver a, (n1, n2) at receiver b."""
+    """Integer link strengths: (m1, m2) at receiver a, (n1, n2) at receiver b.
+
+    Each strength is read with ``operator.index`` and stored as a plain int,
+    so numpy integers are accepted and floats are refused.
+    """
 
     m1: int
     m2: int
@@ -49,6 +63,8 @@ class AdtParams:
     n2: int
 
     def __post_init__(self):
+        for name in ("m1", "m2", "n1", "n2"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if min(self.m1, self.m2, self.n1, self.n2) < 0:
             raise ValueError("strengths must be nonnegative")
         if self.m1 < self.m2 or self.n1 < self.n2:
@@ -59,17 +75,29 @@ class AdtParams:
         return max(self.m1, self.m2, self.n1, self.n2)
 
 
+def _bit(b) -> int:
+    """``b`` as the int 0 or 1; a non-integer such as 1.0 is refused, not coerced."""
+    try:
+        b = operator.index(b)
+    except TypeError:
+        raise ValueError("entries must be bits") from None
+    if b not in (0, 1):
+        raise ValueError("entries must be bits")
+    return int(b)
+
+
 def bits_to_int(bits: Sequence[int]) -> int:
     """Binary column to integer; index 0 is the top (most significant) level."""
     v = 0
     for b in bits:
-        if b not in (0, 1):
-            raise ValueError("entries must be bits")
-        v = (v << 1) | b
+        v = (v << 1) | _bit(b)
     return v
 
 
 def int_to_bits(v: int, q: int) -> tuple[int, ...]:
+    """Length-q binary column of ``v``, top level first; needs 0 <= v < 2^q."""
+    if not 0 <= v < 1 << q:
+        raise ValueError(f"value {v} does not fit in q = {q} bits")
     return tuple((v >> (q - 1 - i)) & 1 for i in range(q))
 
 
@@ -86,6 +114,7 @@ def adt_output(params: AdtParams, x1: Sequence[int], x2: Sequence[int]):
     q = params.q
     if len(x1) != q or len(x2) != q:
         raise ValueError(f"inputs must have length q = {q}")
+    x1, x2 = tuple(map(_bit, x1)), tuple(map(_bit, x2))
     ya = tuple(
         a ^ b
         for a, b in zip(downshift(x1, q - params.m1), downshift(x2, q - params.m2))
@@ -170,43 +199,78 @@ def _product_laws(theta: np.ndarray) -> np.ndarray:
 
 
 def _wht(a: np.ndarray, b: np.ndarray):
-    """Unnormalised Walsh-Hadamard transform of every row of ``a``.
+    """Unnormalised Walsh-Hadamard transform of every column of ``a``.
 
-    Each butterfly stage writes into the other buffer of the same shape, so
-    both are overwritten: returns (the buffer holding the result, the other).
+    ``a`` is a C-ordered (2^q, m) block, one law per column, so each
+    butterfly stage adds and subtracts contiguous runs of h * m values.
+    Each stage writes into the other buffer of the same shape, so both are
+    overwritten: returns (the buffer holding the result, the other).
     """
-    m, size = a.shape
+    size, m = a.shape
     for h in (1 << k for k in range(size.bit_length() - 1)):
-        x, y = a.reshape(m, size // (2 * h), 2, h), b.reshape(m, size // (2 * h), 2, h)
-        np.add(x[:, :, 0], x[:, :, 1], out=y[:, :, 0])
-        np.subtract(x[:, :, 0], x[:, :, 1], out=y[:, :, 1])
+        x, y = a.reshape(size // (2 * h), 2, h * m), b.reshape(size // (2 * h), 2, h * m)
+        np.add(x[:, 0], x[:, 1], out=y[:, 0])
+        np.subtract(x[:, 0], x[:, 1], out=y[:, 1])
         a, b = b, a
     return a, b
 
 
-def _entropies(params: AdtParams, dists: Sequence[AdtDistribution], conditional: bool = False):
+# a batch of laws: AdtDistribution objects, or one (n, 2, 2^q) float64 array
+Laws = Union[Sequence[AdtDistribution], np.ndarray]
+
+
+def _marginals(params: AdtParams, dists: Laws) -> np.ndarray:
+    """The batch as one C-ordered (2, n, 2^q) block: every p1, then every p2.
+
+    An array is checked as ``AdtDistribution`` checks each law: shape
+    (n, 2, 2^q) for this q, every mass >= 0 and each marginal's sum within
+    1e-12 of 1, so a NaN or infinite mass fails.
+    """
+    size = 1 << params.q
+    if isinstance(dists, np.ndarray):
+        if dists.ndim != 3 or dists.shape[1] != 2:
+            raise ValueError(f"laws must be an (n, 2, 2^q) array, got shape {dists.shape}")
+        if dists.shape[2] != size:
+            raise ValueError(f"every distribution must have q = {params.q}")
+        laws = np.asarray(dists, dtype=np.float64)
+        if not (np.all(laws >= 0) and np.all(np.abs(laws.sum(axis=2) - 1.0) <= 1e-12)):
+            raise ValueError("every marginal must be a probability vector (sum within 1e-12 of 1)")
+        return np.ascontiguousarray(laws.transpose(1, 0, 2))
+    n = len(dists)
+    if any(len(d.p1) != size for d in dists):
+        raise ValueError(f"every distribution must have q = {params.q}")
+    masses = chain.from_iterable(chain([d.p1 for d in dists], [d.p2 for d in dists]))
+    return np.fromiter(masses, np.float64, count=2 * n * size).reshape(2, n, size)
+
+
+def _entropies(params: AdtParams, dists: Laws, conditional: bool = False):
     """(H(y), H(y | x1) or None): (2, n) rows each, receiver a then b.
 
     y is the XOR of the x1 image and the interference image: its law is
     their XOR-convolution, and given x1 it relabels the interference image.
-    The marginals are read in one pass, every p1 then every p2.  The image
-    of x at strength s, the law of x >> (q - s), fills the first 2^s columns
-    of a zeroed row; the row blocks are signal a, signal b, interference a,
-    interference b.  H(y | x1) is measured only if ``conditional``, and
-    before the butterflies, which overwrite the images.
+    ``_marginals`` reads the batch, a list of distributions or an
+    (n, 2, 2^q) array, into one (2, n, 2^q) block p: p[0] holds every p1
+    and p[1] every p2.  The image of x at strength s, the law of
+    x >> (q - s), fills the first 2^s rows of a zeroed column of a
+    (2^q, 4n) block; the column blocks are signal a, signal b, interference
+    a, interference b.  Laws lie along columns so that every butterfly
+    stage runs over contiguous memory; each entropy is then taken over a
+    C-ordered row copy, so its sum sees the masses in the same order
+    whatever the layout.  H(y | x1) is measured only if ``conditional``,
+    and before the butterflies, which overwrite the images.
     """
-    n, size = len(dists), 1 << params.q
-    if any(len(d.p1) != size for d in dists):
-        raise ValueError(f"every distribution must have q = {params.q}")
-    masses = chain.from_iterable(chain([d.p1 for d in dists], [d.p2 for d in dists]))
-    p = np.fromiter(masses, np.float64, count=2 * n * size).reshape(2, n, size)
-    images = np.zeros((4 * n, size))
+    p = _marginals(params, dists)
+    n, size = p.shape[1], p.shape[2]
+    images = np.zeros((size, 4 * n))
     for k, s in enumerate((params.m1, params.n1, params.m2, params.n2)):
-        images[k * n : (k + 1) * n, : 1 << s] = p[k // 2].reshape(n, 1 << s, size >> s).sum(axis=2)
-    h_cond = _entropy_rows(images[2 * n :]).reshape(2, n) if conditional else None
+        images[: 1 << s, k * n : (k + 1) * n] = p[k // 2].reshape(n, 1 << s, size >> s).sum(axis=2).T
+    h_cond = None
+    if conditional:
+        h_cond = _entropy_rows(np.ascontiguousarray(images[:, 2 * n :].T)).reshape(2, n)
     spectra, spare = _wht(images, np.empty_like(images))
-    laws = np.multiply(spectra[: 2 * n], spectra[2 * n :], out=spectra[: 2 * n])
-    return _entropy_rows(_wht(laws, spare[: 2 * n])[0] / size).reshape(2, n), h_cond
+    laws, scratch = spare.reshape(2, size, 2 * n)  # two C-ordered (2^q, 2n) halves of spare
+    laws = _wht(np.multiply(spectra[:, : 2 * n], spectra[:, 2 * n :], out=laws), scratch)[0]
+    return _entropy_rows(np.divide(laws.T, size, out=np.empty((2 * n, size)))).reshape(2, n), h_cond
 
 
 def _receiver(receiver: str) -> int:
@@ -266,7 +330,7 @@ def _report(mode: str, params: AdtParams, slack: np.ndarray) -> AdtCheckReport:
     return AdtCheckReport(mode, params, slack.size, float(slack[worst]), worst)
 
 
-def check_less_noisy(params: AdtParams, dists: Sequence[AdtDistribution]) -> AdtCheckReport:
+def check_less_noisy(params: AdtParams, dists: Laws) -> AdtCheckReport:
     """Verify I(x1; yb) >= I(x1; ya) for every distribution.
 
     Slack per distribution is I(x1; yb) - I(x1; ya); requires the regime
@@ -279,7 +343,7 @@ def check_less_noisy(params: AdtParams, dists: Sequence[AdtDistribution]) -> Adt
     return _report("lessnoisy", params, (hb - cb) - (ha - ca))
 
 
-def check_entropy_diff(params: AdtParams, dists: Sequence[AdtDistribution]) -> AdtCheckReport:
+def check_entropy_diff(params: AdtParams, dists: Laws) -> AdtCheckReport:
     """Verify H(ya) - H(yb) <= m2 - n2 bits for every distribution.
 
     Slack per distribution is (m2 - n2) - (H(ya) - H(yb)); requires the
@@ -292,13 +356,19 @@ def check_entropy_diff(params: AdtParams, dists: Sequence[AdtDistribution]) -> A
     return _report("entropydiff", params, (params.m2 - params.n2) - (ha - hb))
 
 
-def random_product_dists(q: int, count: int, rng: np.random.Generator) -> list[AdtDistribution]:
+def random_product_laws(q: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Product-Bernoulli marginals with per-level probabilities ~ U(0,1).
 
+    Returns a (count, 2, 2^q) float64 array, row i holding p1, p2 of law i.
     The levels come from one draw, p1 then p2 per distribution: the same
     stream, so the same laws, as drawing each distribution in turn.
     """
-    return _as_dists(_product_laws(rng.uniform(size=(count, 2, q))))
+    return _product_laws(rng.uniform(size=(count, 2, q)))
+
+
+def random_product_dists(q: int, count: int, rng: np.random.Generator) -> list[AdtDistribution]:
+    """The laws of ``random_product_laws`` as a list of distributions."""
+    return _as_dists(random_product_laws(q, count, rng))
 
 
 def _as_dists(laws: np.ndarray) -> list[AdtDistribution]:

@@ -30,7 +30,8 @@ from .adt import (
     AdtParams,
     check_entropy_diff,
     check_less_noisy,
-    random_product_dists,
+    random_product_dists,  # unused: kept for the benchmark tracer's adt.gen layer, which wraps this name
+    random_product_laws,
     require_q_cap,
 )
 from .duality import dualize
@@ -252,14 +253,16 @@ def _cmd_adt(args, inputs, net) -> dict:
             f"--trials {args.trials} at q = {params.q} would draw {masses} probability masses, "
             f"over the cap of {_MAX_ADT_MASSES}"
         )
+    size = 1 << params.q
     rng = np.random.default_rng(args.seed)
-    dists = [AdtDistribution.uniform(params.q)]
-    dists += random_product_dists(params.q, args.trials, rng)
+    # law 0 is the uniform law, then the drawn ones: one (trials + 1, 2, 2^q) array
+    uniform = np.full((1, 2, size), 1.0 / size)
+    laws = np.concatenate((uniform, random_product_laws(params.q, args.trials, rng)))
     check = check_less_noisy if args.mode == "lessnoisy" else check_entropy_diff
-    report = check(params, dists)
+    report = check(params, laws)
     worst = None
     if report.worst_index is not None:
-        d = dists[report.worst_index]
+        d = AdtDistribution(*(tuple(p) for p in laws[report.worst_index].tolist()))
         worst = {"p1": list(d.p1), "p2": list(d.p2)}
     return {
         "mode": report.mode,

@@ -5,8 +5,12 @@ from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tincell as tc
+import tincell.adt
+import tincell.cli
 from tincell.adt import (
     AdtDistribution,
     AdtParams,
@@ -19,6 +23,7 @@ from tincell.adt import (
     mutual_information_x1,
     output_entropy,
     random_product_dists,
+    random_product_laws,
     random_table_dists,
     regime_params,
     require_q_cap,
@@ -74,6 +79,47 @@ def test_params_validation():
         AdtParams(1, 2, 3, 1)
     with pytest.raises(ValueError):
         AdtParams(2, 1, -1, 0)
+
+
+@pytest.mark.parametrize("v, q", [(8, 2), (4, 2), (-1, 3), (1, 0), (-(1 << 70), 4)])
+def test_int_to_bits_refuses_values_that_do_not_fit(v, q):
+    with pytest.raises(ValueError):
+        int_to_bits(v, q)
+
+
+def test_int_to_bits_keeps_every_value_that_fits():
+    assert int_to_bits(7, 3) == (1, 1, 1)
+    assert int_to_bits(0, 0) == ()
+    assert int_to_bits(np.int64(5), 3) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("bits", [[1.0, 0], [0, 2], [-1], [0.5], ["1"], [None]])
+def test_bits_to_int_refuses_non_bits(bits):
+    with pytest.raises(ValueError, match="entries must be bits"):
+        bits_to_int(bits)
+
+
+def test_bits_to_int_takes_numpy_bits():
+    assert bits_to_int(np.array([1, 0, 1])) == 5
+
+
+@pytest.mark.parametrize("x1, x2", [((2, 0), (0, 0)), ((0, 0), (0, -1)), ((1.0, 0), (0, 0)), ((0, 0), (0, 0.5))])
+def test_adt_output_refuses_non_bits(x1, x2):
+    with pytest.raises(ValueError, match="entries must be bits"):
+        tc.adt_output(AdtParams(2, 1, 2, 1), x1, x2)
+
+
+@pytest.mark.parametrize("strengths", [(1.5, 0, 2, 0), (2, 1.0, 2, 0), (2, 1, 2.0, 1), (2, 1, 2, "1")])
+def test_params_refuse_non_integer_strengths(strengths):
+    with pytest.raises(TypeError):
+        AdtParams(*strengths)
+
+
+def test_params_store_numpy_strengths_as_plain_ints():
+    params = AdtParams(*np.array([3, 1, 4, 1]))
+    assert [type(x) for x in (params.m1, params.m2, params.n1, params.n2)] == [int] * 4
+    assert params == AdtParams(3, 1, 4, 1) and hash(params) == hash(AdtParams(3, 1, 4, 1))
+    assert params.q == 4
 
 
 # --- entropy -----------------------------------------------------------------
@@ -301,6 +347,9 @@ TABLE_DIGESTS = {
 def test_random_product_dists_are_bit_identical(q, count, seed):
     dists = random_product_dists(q, count, np.random.default_rng(seed))
     assert _laws_digest(dists) == PRODUCT_DIGESTS[q, count, seed]
+    laws = random_product_laws(q, count, np.random.default_rng(seed))
+    assert laws.shape == (count, 2, 1 << q) and laws.dtype == np.float64
+    assert np.array_equal(laws, _as_array(dists, q))
 
 
 @pytest.mark.parametrize("q, count, seed", sorted(TABLE_DIGESTS))
@@ -502,3 +551,98 @@ def test_cli_adt_reports_match_the_reference_bit_for_bit(capsys, mode, params, s
     assert doc["min_slack"].hex() == ref.min_slack.hex()
     worst = dists[ref.worst_index]
     assert doc["worst_case_dist"] == {"p1": list(worst.p1), "p2": list(worst.p2)}
+
+
+# --- one law array in place of the distribution list -------------------------------
+
+
+def _as_array(dists, q):
+    """The (n, 2, 2^q) array holding the same laws as ``dists``."""
+    return np.array([(d.p1, d.p2) for d in dists], dtype=np.float64).reshape(len(dists), 2, 1 << q)
+
+
+def _drawn(q, kinds, rng):
+    size, dists = 1 << q, []
+    for kind in kinds:
+        if kind == "product":
+            dists += random_product_dists(q, 1, rng)
+        elif kind == "table":
+            dists += random_table_dists(q, 1, rng)
+        elif kind == "point":
+            dists.append(AdtDistribution.point(q, int(rng.integers(size)), int(rng.integers(size))))
+        else:
+            dists.append(AdtDistribution.uniform(q))
+    return dists
+
+
+_REGIME_CASES = [(mode, p) for mode in ("lessnoisy", "entropydiff") for p in regime_params(6, mode)]
+
+
+@given(
+    st.sampled_from(_REGIME_CASES),
+    st.lists(st.sampled_from(["product", "table", "point", "uniform"]), max_size=12),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_checks_read_an_array_as_the_equal_distribution_list(case, kinds, seed):
+    mode, params = case
+    check = tc.check_less_noisy if mode == "lessnoisy" else tc.check_entropy_diff
+    dists = _drawn(params.q, kinds, np.random.default_rng(seed))
+    from_array, from_list = check(params, _as_array(dists, params.q)), check(params, dists)
+    assert (from_array.min_slack.hex(), from_array.worst_index) == (from_list.min_slack.hex(), from_list.worst_index)
+    assert from_array == from_list
+
+
+def _malformed(kind):
+    laws = np.full((3, 2, 16), 1 / 16)
+    if kind == "ndim":
+        return laws[0]
+    if kind == "pair":
+        return np.full((3, 3, 16), 1 / 16)
+    if kind == "q":
+        return np.full((3, 2, 8), 1 / 8)
+    if kind == "negative":
+        laws[1, 0, :2] = (-1 / 16, 3 / 16)
+    elif kind == "nan":
+        laws[2, 1, 5] = float("nan")
+    elif kind == "inf":
+        laws[0, 1, 0] = float("inf")
+    elif kind == "sum":
+        laws[1, 1, 3] += 1e-9
+    return laws
+
+
+@pytest.mark.parametrize("check, params", [
+    (tc.check_less_noisy, AdtParams(3, 1, 4, 1)),
+    (tc.check_entropy_diff, AdtParams(4, 2, 4, 1)),
+])
+@pytest.mark.parametrize("kind", ["ndim", "pair", "q", "negative", "nan", "inf", "sum"])
+def test_checks_refuse_malformed_law_arrays(check, params, kind):
+    with pytest.raises(ValueError):
+        check(params, _malformed(kind))
+
+
+@pytest.mark.parametrize("check, params", [
+    (tc.check_less_noisy, AdtParams(3, 1, 4, 1)),
+    (tc.check_entropy_diff, AdtParams(4, 2, 4, 1)),
+])
+def test_empty_law_array_reports_inf_and_no_index(check, params):
+    report = check(params, np.empty((0, 2, 16)))
+    assert (report.min_slack, report.worst_index, report.n_dists) == (float("inf"), None, 0)
+
+
+def test_cli_adt_builds_one_distribution_per_request(monkeypatch, capsys):
+    built = []
+
+    class Counting(AdtDistribution):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    # both names: a law built in tincell.adt on behalf of the verb counts too
+    monkeypatch.setattr(tincell.cli, "AdtDistribution", Counting)
+    monkeypatch.setattr(tincell.adt, "AdtDistribution", Counting)
+    assert run(["adt", "--params", "3,1,4,1", "--trials", "1000", "--seed", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(built) == 1
+    assert doc["worst_case_dist"] == {"p1": list(built[0].p1), "p2": list(built[0].p2)}
