@@ -330,13 +330,25 @@ def _report(mode: str, params: AdtParams, slack: np.ndarray) -> AdtCheckReport:
     return AdtCheckReport(mode, params, slack.size, float(slack[worst]), worst)
 
 
+def _less_noisy_regime(p: AdtParams) -> bool:
+    return p.n1 - p.n2 >= p.m1
+
+
+def _entropy_diff_regime(p: AdtParams) -> bool:
+    return p.n1 - 2 * p.n2 >= p.m1 - p.m2 and p.n2 <= p.m2
+
+
+#: The regime each mode's check requires, which :func:`regime_params` enumerates.
+_REGIMES = {"lessnoisy": _less_noisy_regime, "entropydiff": _entropy_diff_regime}
+
+
 def check_less_noisy(params: AdtParams, dists: Laws) -> AdtCheckReport:
     """Verify I(x1; yb) >= I(x1; ya) for every distribution.
 
     Slack per distribution is I(x1; yb) - I(x1; ya); requires the regime
     n1 - n2 >= m1.
     """
-    if params.n1 - params.n2 < params.m1:
+    if not _less_noisy_regime(params):
         raise PreconditionError("requires n1 - n2 >= m1")
     require_q_cap(params)
     (ha, hb), (ca, cb) = _entropies(params, dists, conditional=True)
@@ -349,7 +361,7 @@ def check_entropy_diff(params: AdtParams, dists: Laws) -> AdtCheckReport:
     Slack per distribution is (m2 - n2) - (H(ya) - H(yb)); requires the
     regime n1 - 2 n2 >= m1 - m2 and n2 <= m2.
     """
-    if params.n1 - 2 * params.n2 < params.m1 - params.m2 or params.n2 > params.m2:
+    if not _entropy_diff_regime(params):
         raise PreconditionError("requires n1 - 2*n2 >= m1 - m2 and n2 <= m2")
     require_q_cap(params)
     (ha, hb), _ = _entropies(params, dists)
@@ -383,7 +395,11 @@ def random_table_dists(q: int, count: int, rng: np.random.Generator) -> list[Adt
 
 
 def regime_params(q_max: int, mode: str) -> list[AdtParams]:
-    """All parameter tuples with q <= q_max satisfying the given regime."""
+    """All parameter tuples with q <= q_max satisfying the given regime;
+    ``mode`` is ``"lessnoisy"`` or ``"entropydiff"``."""
+    if mode not in _REGIMES:
+        raise ValueError(f"mode must be one of {sorted(_REGIMES)}, got {mode!r}")
+    in_regime = _REGIMES[mode]
     out = []
     for m1 in range(q_max + 1):
         for m2 in range(m1 + 1):
@@ -391,9 +407,7 @@ def regime_params(q_max: int, mode: str) -> list[AdtParams]:
                 for n2 in range(n1 + 1):
                     if max(m1, m2, n1, n2) == 0:
                         continue
-                    if mode == "lessnoisy" and n1 - n2 < m1:
-                        continue
-                    if mode == "entropydiff" and (n1 - 2 * n2 < m1 - m2 or n2 > m2):
-                        continue
-                    out.append(AdtParams(m1, m2, n1, n2))
+                    params = AdtParams(m1, m2, n1, n2)
+                    if in_regime(params):
+                        out.append(params)
     return out

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .adt import (
-    AdtDistribution,
     AdtParams,
     check_entropy_diff,
     check_less_noisy,
@@ -37,7 +36,7 @@ from .adt import (
 from .duality import dualize
 from .errors import PreconditionError, TincellError
 from .network import ChannelStrengths, _is_int_lists, parse_decimal, parse_network, validate
-from .oracle import GridSpec, grid_achievable_points, oracle_max_sum
+from .oracle import GridSpec, default_grid, grid_achievable_points, oracle_max_sum
 from .regions import (
     Subnetwork,
     classify_regime,
@@ -205,8 +204,9 @@ def _cmd_dualize(args, inputs, net) -> dict:
 
 
 def _cmd_oracle(args, inputs, net):
-    step = parse_decimal(args.grid) if args.grid is not None else Fraction(1, 20)
-    depth = parse_decimal(args.rmax) if args.rmax is not None else net.max_strength() + 1
+    default = default_grid(net)
+    step = parse_decimal(args.grid) if args.grid is not None else default.step
+    depth = parse_decimal(args.rmax) if args.rmax is not None else default.depth
     grid = GridSpec(step=step, depth=depth)
     mode = "exact" if args.exact else "float"
     points = grid_achievable_points(net, args.side, grid, mode=mode, budget=args.budget)
@@ -262,8 +262,8 @@ def _cmd_adt(args, inputs, net) -> dict:
     report = check(params, laws)
     worst = None
     if report.worst_index is not None:
-        d = AdtDistribution(*(tuple(p) for p in laws[report.worst_index].tolist()))
-        worst = {"p1": list(d.p1), "p2": list(d.p2)}
+        p1, p2 = laws[report.worst_index].tolist()
+        worst = {"p1": p1, "p2": p2}
     return {
         "mode": report.mode,
         "params": [m1, m2, n1, n2],

@@ -27,9 +27,14 @@ positive bound (a zero bound is one shared ``Fraction(0)``).
 The bound is written once per side, in :func:`_ibc_pass` and
 :func:`_imac_pass`, which run here on ints with :func:`_max` / :func:`_min`
 and in the grid oracle on numpy columns with ``np.maximum`` / ``np.minimum``.
-Neither meets ``-inf``: SILENT enters them as ``-(largest lattice strength
-+ 1)``, which every link carries below zero, so the clip and the noise floor
-drop it from every max, and a SILENT user's own unclipped bound is negative.
+On those lattices SILENT enters as ``-(largest lattice strength + 1)``,
+which every link carries below zero, so the clip and the noise floor drop it
+from every max, and a SILENT user's own unclipped bound is negative.
+
+:func:`sinr_rates_ibc` runs :func:`_ibc_pass` once more, on floats in
+``log_P`` units with log-add-exp in base ``P`` for the max.  There SILENT is
+``-inf``, not the sentinel: a sentinel would still carry some power, and
+log-add-exp, unlike the max, would count it.
 """
 
 from __future__ import annotations
@@ -161,7 +166,13 @@ def _ibc_pass(pi, ints, r, neg, mx, mn):
     observers ``m`` at or after the user's position of ``(direct(m) + r) -
     max(direct(m) + later, cross(m)^+)``.  ``later`` is the largest exponent
     decoded after the user; ``cross(m)``, computed once per observer, is its
-    cross strength plus the largest exponent of each other cell."""
+    cross strength plus the largest exponent of each other cell.
+
+    ``mx`` / ``mn`` are the max and min, and ``neg`` is SILENT: on ints and
+    numpy columns the max itself and the lattice sentinel; for finite-SNR
+    rates log-add-exp in base ``P`` and ``-inf``, which turn every max into
+    ``log_P`` of a sum of powers (the 0 that ``cross`` starts from is the
+    unit noise), so ``pre`` is ``log_P`` of the SINR."""
     tops = [functools.reduce(mx, cell) for cell in r]
     received, pre = [], []
     for k0, (perm, rows, rk) in enumerate(zip(pi, ints, r)):
@@ -284,6 +295,20 @@ def achievable_with_strategy(net: ChannelStrengths, strategy: Strategy, d: Seque
     return all(di <= bi for di, bi in zip(_exact(d), bounds))
 
 
+def _log_add(lnP: float):
+    """Two-argument log-add-exp in base ``P = e**lnP``: ``log_P(P**a +
+    P**b)``, with ``-inf`` (no power) as its identity."""
+
+    def add(a, b):
+        if a < b:
+            a, b = b, a
+        if b == -math.inf:
+            return a
+        return a + math.log1p(math.exp((b - a) * lnP)) / lnP
+
+    return add
+
+
 def sinr_rates_ibc(
     net: ChannelStrengths,
     order: DecodingOrder,
@@ -294,40 +319,27 @@ def sinr_rates_ibc(
 
     Codeword powers are ``P**r / L_k`` (0 for SILENT users); each user's
     SINR is the worst over the same-cell observers that must decode its
-    signal.
+    signal.  This is :func:`_ibc_pass` in ``log_P`` units: float strengths,
+    exponents ``r - log_P(L_k)``, SILENT as ``-inf`` and log-add-exp for
+    the max, so each user's ``pre`` is ``log_P`` of its SINR.  A SILENT
+    user's ``pre`` is ``-inf``, and ``P ** -inf`` gives it ``(0.0, 0.0)``.
+
+    No power is formed on the way, so a link whose ``P**alpha`` is beyond
+    the float range is fine.  What still raises: a shape that does not
+    match ``net`` (``DimensionMismatchError``), and ``OverflowError`` for a
+    strength or exponent beyond the float range or for a reported SINR
+    ``P ** pre`` above it.
     """
     check_dimensions(net, order, power)
     P = float(cfg.P)
-    q = [
-        [0.0 if x is SILENT else (P ** float(x)) / net.L[k] for x in cell]
-        for k, cell in enumerate(power.r)
+    lnP = math.log(P)
+    r = [
+        [-math.inf if x is SILENT else float(x) - math.log(len(cell)) / lnP for x in cell]
+        for cell in power.r
     ]
-    cell_q_sum = [sum(cell) for cell in q]
-    out = []
-    for k in range(1, net.K + 1):
-        perm = order.pi[k - 1]
-        Lk = len(perm)
-        per_slot = [None] * Lk
-        for l in range(1, Lk + 1):
-            u = perm[l - 1]
-            q_u = q[k - 1][u - 1]
-            if q_u == 0.0:
-                per_slot[u - 1] = (0.0, 0.0)
-                continue
-            sinr = math.inf
-            for m in range(l, Lk + 1):
-                obs = perm[m - 1]
-                row = net.alpha[k - 1][obs - 1]
-                gain = P ** float(row[k - 1])
-                intra = sum(q[k - 1][perm[j - 1] - 1] for j in range(l + 1, Lk + 1))
-                den = 1.0 + gain * intra
-                for j0 in range(net.K):
-                    if j0 != k - 1 and cell_q_sum[j0] > 0.0:
-                        den += (P ** float(row[j0])) * cell_q_sum[j0]
-                sinr = min(sinr, gain * q_u / den)
-            per_slot[u - 1] = (sinr, math.log2(1.0 + sinr))
-        out.extend(per_slot)
-    return tuple(out)
+    _, pre = _ibc_pass(order.pi, net.floats(), r, -math.inf, _log_add(lnP), min)
+    sinrs = [P ** p for p in pre]
+    return tuple((s, math.log2(1.0 + s)) for s in sinrs)
 
 
 # ---------------------------------------------------------------------------

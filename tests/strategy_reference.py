@@ -1,17 +1,21 @@
 """The Fraction strategy evaluators that the integer-lattice passes
 replaced, kept as the reference that the passes and the grid oracle are
-checked against.
+checked against, and the float finite-SNR evaluator that the log-domain
+downlink pass replaced.
 
 The bodies are the earlier ``strategies`` ones, copied verbatim (public
 names given a ``_ref_`` prefix): every max, add and clip on ``Fraction``
 objects, with ``-inf`` for an empty max and for a SILENT user.
-:func:`_ref_bounds` picks the side for the tests.
+:func:`_ref_bounds` picks the side for the tests.  :func:`_ref_sinr_rates_ibc`
+sums the powers ``P**x`` themselves, so it raises ``OverflowError`` once a
+single link's ``P**alpha`` leaves the float range.
 """
 
+import math
 from fractions import Fraction
 
 from tincell.network import ChannelStrengths
-from tincell.strategies import SILENT, DecodingOrder, PowerAllocation, check_dimensions
+from tincell.strategies import SILENT, DecodingOrder, FiniteSnrConfig, PowerAllocation, check_dimensions
 
 NEG_INF = float("-inf")
 
@@ -121,3 +125,49 @@ def _ref_bounds(net: ChannelStrengths, side: str, order: DecodingOrder, power: P
     """``(direct + r - gamma)^+`` of either side, with the reference gamma."""
     gamma = (_ref_gamma_ibc if side == "ibc" else _ref_gamma_imac)(net, order, power)
     return _bounds_from_gamma(net, power, gamma)
+
+
+def _ref_sinr_rates_ibc(
+    net: ChannelStrengths,
+    order: DecodingOrder,
+    power: PowerAllocation,
+    cfg: FiniteSnrConfig,
+) -> tuple[tuple[float, float], ...]:
+    """Finite-SNR downlink (SINR, rate) per user, rate in bits.
+
+    Codeword powers are ``P**r / L_k`` (0 for SILENT users); each user's
+    SINR is the worst over the same-cell observers that must decode its
+    signal.
+    """
+    check_dimensions(net, order, power)
+    P = float(cfg.P)
+    q = [
+        [0.0 if x is SILENT else (P ** float(x)) / net.L[k] for x in cell]
+        for k, cell in enumerate(power.r)
+    ]
+    cell_q_sum = [sum(cell) for cell in q]
+    out = []
+    for k in range(1, net.K + 1):
+        perm = order.pi[k - 1]
+        Lk = len(perm)
+        per_slot = [None] * Lk
+        for l in range(1, Lk + 1):
+            u = perm[l - 1]
+            q_u = q[k - 1][u - 1]
+            if q_u == 0.0:
+                per_slot[u - 1] = (0.0, 0.0)
+                continue
+            sinr = math.inf
+            for m in range(l, Lk + 1):
+                obs = perm[m - 1]
+                row = net.alpha[k - 1][obs - 1]
+                gain = P ** float(row[k - 1])
+                intra = sum(q[k - 1][perm[j - 1] - 1] for j in range(l + 1, Lk + 1))
+                den = 1.0 + gain * intra
+                for j0 in range(net.K):
+                    if j0 != k - 1 and cell_q_sum[j0] > 0.0:
+                        den += (P ** float(row[j0])) * cell_q_sum[j0]
+                sinr = min(sinr, gain * q_u / den)
+            per_slot[u - 1] = (sinr, math.log2(1.0 + sinr))
+        out.extend(per_slot)
+    return tuple(out)

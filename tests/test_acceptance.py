@@ -355,6 +355,67 @@ def test_c12_finite_snr_convergence():
              f"final per-user gaps {['%.4f' % g for g in gaps[-1]]} <= 0.05, nonincreasing")
 
 
+def test_c12_finite_snr_constant_gap():
+    """Every user's rate lies within a P-independent gap of ``g log2 P``.
+
+    User u in cell k, decoded at position l, with its codeword power
+    ``q_u = P**r_u / L_k``, has the SINR ``S_u = min_m P**a_m q_u / D_m``
+    over its observers m (at positions >= l), where
+    ``D_m = 1 + P**a_m Q_later + sum_{j != k} P**s_mj Q_j``: ``Q_later`` sums
+    the powers decoded after u and ``Q_j`` those of cell j.  The GDoF pass
+    gives ``g_u = max(0, min_m pre_m)`` with ``pre_m = a_m + r_u - M_m`` and
+    ``M_m = max(0, a_m + later, s_mj + top_j)``, ``later`` and ``top_j``
+    the largest exponents in those sums.
+
+    Lower side.  Each power is at most ``P**r / L``, and a sum of at most
+    ``L`` of them is at most ``P**(its largest r)``.  So each of the
+    ``K + 1`` groups of ``D_m`` (the noise, the later same-cell powers and
+    the ``K - 1`` other cells) is at most ``P**M_m``, and
+    ``S_u >= P**pre / ((K + 1) L_k)``.  Then
+    ``rate >= log2 S_u >= g log2 P - log2((K + 1) L_k)`` when ``g > 0``, and
+    ``rate >= 0`` covers ``g = 0``.
+
+    Upper side.  ``D_m`` is at least its largest term, and each term is at
+    least ``P**(its exponent) / max L``, so ``D_m >= P**M_m / max L`` and
+    ``S_u <= max L * P**pre`` (``L_k >= 1``).  With ``pre <= g``,
+    ``rate = log2(1 + S_u) <= log2((1 + max L) P**g)``.  A SILENT user has
+    ``g = 0`` and rate 0, inside both sides.
+    """
+    rng = random.Random(112)
+    cases = []
+    for _ in range(600):
+        net = random_network(rng, *random_dims(rng))
+        cases += [(net, random_strategy(rng, net, "ibc")) for _ in range(2)]
+    for shape in ((3, 3, 2), (2, 2, 2, 2)):
+        for _ in range(20):
+            net = random_network(rng, len(shape), list(shape))
+            cases += [(net, random_strategy(rng, net, "ibc")) for _ in range(2)]
+        for _ in range(5):
+            net = sample_tin_network(rng, len(shape), list(shape))
+            cases += [(net, random_strategy(rng, net, "ibc")) for _ in range(4)]
+    pairs = violations = 0
+    low_margin = high_margin = math.inf
+    for net, s in cases:
+        bounds = tc.gdof_bounds_ibc(net, s.order, s.power)
+        cells = [u.cell for u in net.users()]
+        max_l = max(net.L)
+        for P in (1e2, 1e5, 1e12, 1e30, 1e60):
+            log2p = math.log2(P)
+            rates = tc.sinr_rates_ibc(net, s.order, s.power, tc.FiniteSnrConfig(P=P))
+            for (_, rate), g, k in zip(rates, bounds, cells):
+                lo = float(g) * log2p - math.log2((net.K + 1) * net.L[k - 1])
+                hi = float(g) * log2p + math.log2(1 + max_l)
+                pairs += 1
+                if not lo <= rate <= hi + 1e-9:
+                    violations += 1
+                low_margin = min(low_margin, rate - lo)
+                high_margin = min(high_margin, hi - rate)
+    _verdict(12, "finite-SNR rates within a constant gap of the GDoF bounds",
+             violations == 0,
+             f"{pairs} (user, P) pairs, {violations} outside; "
+             f"closest {low_margin:.3g} bits above the lower side, {high_margin:.3g} below the upper")
+
+
 # --- criterion 13: classifier self-consistency --------------------------------
 
 

@@ -265,6 +265,54 @@ def test_entropy_diff_regime_guard():
         tc.check_entropy_diff(AdtParams(3, 1, 4, 3), [AdtDistribution.uniform(4)])
 
 
+def _ref_regime_params(q_max: int, mode: str) -> list[AdtParams]:
+    """The earlier ``regime_params`` body, verbatim: each regime restated
+    from its check, and every tuple for a mode it does not know."""
+    out = []
+    for m1 in range(q_max + 1):
+        for m2 in range(m1 + 1):
+            for n1 in range(q_max + 1):
+                for n2 in range(n1 + 1):
+                    if max(m1, m2, n1, n2) == 0:
+                        continue
+                    if mode == "lessnoisy" and n1 - n2 < m1:
+                        continue
+                    if mode == "entropydiff" and (n1 - 2 * n2 < m1 - m2 or n2 > m2):
+                        continue
+                    out.append(AdtParams(m1, m2, n1, n2))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["lessnoisy", "entropydiff"])
+def test_regime_params_match_the_earlier_lists(mode):
+    for q_max in range(7):
+        assert regime_params(q_max, mode) == _ref_regime_params(q_max, mode)
+
+
+def test_regime_params_refuse_an_unknown_mode():
+    assert len(_ref_regime_params(3, "typo")) == 99  # the earlier body's silent answer
+    with pytest.raises(ValueError, match="typo"):
+        regime_params(3, "typo")
+
+
+@pytest.mark.parametrize("mode", ["lessnoisy", "entropydiff"])
+def test_checks_accept_exactly_the_regime_params(mode):
+    check = tc.check_less_noisy if mode == "lessnoisy" else tc.check_entropy_diff
+    inside = set(regime_params(4, mode))
+    every = [
+        AdtParams(m1, m2, n1, n2)
+        for m1 in range(5) for m2 in range(m1 + 1) for n1 in range(5) for n2 in range(n1 + 1)
+        if max(m1, n1) > 0
+    ]
+    for params in every:
+        laws = [AdtDistribution.uniform(params.q)]
+        if params in inside:
+            assert check(params, laws).passed, params
+        else:
+            with pytest.raises(tc.PreconditionError):
+                check(params, laws)
+
+
 def test_both_checks_over_small_param_sweep():
     rng = np.random.default_rng(7)
     for params in regime_params(4, "lessnoisy"):
@@ -631,7 +679,7 @@ def test_empty_law_array_reports_inf_and_no_index(check, params):
     assert (report.min_slack, report.worst_index, report.n_dists) == (float("inf"), None, 0)
 
 
-def test_cli_adt_builds_one_distribution_per_request(monkeypatch, capsys):
+def test_cli_adt_prints_the_worst_law_without_building_a_distribution(monkeypatch, capsys):
     built = []
 
     class Counting(AdtDistribution):
@@ -639,10 +687,16 @@ def test_cli_adt_builds_one_distribution_per_request(monkeypatch, capsys):
             built.append(self)
             super().__post_init__()
 
-    # both names: a law built in tincell.adt on behalf of the verb counts too
-    monkeypatch.setattr(tincell.cli, "AdtDistribution", Counting)
+    # a law built in either module would count; the CLI no longer imports the name
+    monkeypatch.setattr(tincell.cli, "AdtDistribution", Counting, raising=False)
     monkeypatch.setattr(tincell.adt, "AdtDistribution", Counting)
     assert run(["adt", "--params", "3,1,4,1", "--trials", "1000", "--seed", "0"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert len(built) == 1
-    assert doc["worst_case_dist"] == {"p1": list(built[0].p1), "p2": list(built[0].p2)}
+    assert built == []
+    # the reported law is the worst row of the checked array: the uniform law, then the drawn ones
+    uniform = np.full((1, 2, 16), 1.0 / 16)
+    laws = np.concatenate((uniform, random_product_laws(4, 1000, np.random.default_rng(0))))
+    report = tc.check_less_noisy(AdtParams(3, 1, 4, 1), laws)
+    p1, p2 = laws[report.worst_index].tolist()
+    assert doc["worst_case_dist"] == {"p1": p1, "p2": p2}
+    assert doc["min_slack"] == report.min_slack

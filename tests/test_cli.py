@@ -221,6 +221,20 @@ def test_rates_overflow_is_domain_error(capsys, tmp_path):
     assert doc["error"]["type"] == "OverflowError"
 
 
+def test_rates_beyond_a_single_links_float_range(capsys, tmp_path):
+    # each P**alpha is above 1e328, each SINR about 10**1.1
+    net = tmp_path / "strong2.json"
+    net.write_text('{"K": 2, "L": [1, 1], "alpha": [[[30, 29.9]], [[29.9, 30]]]}')
+    strategy = tmp_path / "two.json"
+    strategy.write_text('{"side": "ibc", "order": [[1], [1]], "r": [[0], [0]]}')
+    code, out = invoke(
+        capsys, "rates", "--net", str(net), "--strategy", str(strategy), "--pnominal", "1e11",
+    )
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["sinr"] == pytest.approx([10**1.1] * 2, rel=1e-12)
+
+
 def test_boolean_dimensions_are_domain_error(capsys, tmp_path):
     path = tmp_path / "bool.json"
     path.write_text('{"K": true, "L": [1], "alpha": [[[1.0]]]}')

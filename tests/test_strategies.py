@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +8,11 @@ from hypothesis import given, settings
 
 import tincell as tc
 from tincell.oracle import GridSpec, _Lattice
+from tincell.sampling import random_dims, random_network, random_strategy
 from tincell.strategies import SILENT
 
 from sample_nets import mknet, nets_with_strategy
-from strategy_reference import _ref_bounds
+from strategy_reference import _ref_bounds, _ref_sinr_rates_ibc
 
 
 def id_order(net):
@@ -216,6 +218,60 @@ def test_rate_gap_nonincreasing_on_net_a(net_a):
             assert all(g <= p + 1e-12 for g, p in zip(gaps, prev))
         prev = gaps
     assert all(g < 0.05 for g in prev)
+
+
+SNR_POWERS = (1.001, 1.5, 10.0, 1e3, 1e6, 1e12, 1e40, 1e100)
+
+
+def _snr_draws(rng):
+    """Seeded downlink strategies, about one user in seven SILENT: random_dims
+    nets, then (3,3,2) and (2,2,2,2) nets."""
+    for _ in range(500):
+        net = random_network(rng, *random_dims(rng))
+        for _ in range(2):
+            yield net, random_strategy(rng, net, "ibc")
+    for shape in ((3, 3, 2), (2, 2, 2, 2)):
+        for _ in range(50):
+            net = random_network(rng, len(shape), list(shape))
+            for _ in range(2):
+                yield net, random_strategy(rng, net, "ibc")
+
+
+def test_sinr_rates_match_the_float_reference():
+    """The log-domain downlink pass against the float evaluator it replaced:
+    SINR within 1e-10 relative, rate within 1e-10 bits, and zero exactly
+    where the reference is zero."""
+    silent = pairs = 0
+    for net, s in _snr_draws(random.Random(24)):
+        silent += sum(x is SILENT for cell in s.power.r for x in cell)
+        for P in SNR_POWERS:
+            cfg = tc.FiniteSnrConfig(P=P)
+            got = tc.sinr_rates_ibc(net, s.order, s.power, cfg)
+            ref = _ref_sinr_rates_ibc(net, s.order, s.power, cfg)
+            assert len(got) == len(ref) == net.n_users
+            for (sinr, rate), (ref_sinr, ref_rate) in zip(got, ref):
+                pairs += 1
+                if ref_sinr == 0.0:
+                    assert (sinr, rate) == (0.0, 0.0), (net, s, P)
+                    continue
+                assert abs(sinr - ref_sinr) <= 1e-10 * ref_sinr, (net, s, P)
+                assert abs(rate - ref_rate) <= 1e-10, (net, s, P)
+    assert silent > 0 and pairs > 40_000
+
+
+def test_sinr_rates_beyond_a_single_links_float_range():
+    """Two one-user cells, direct 30 and cross 29.9, at P = 1e11: each link's
+    P**alpha is above 1e328, which the float evaluator cannot form, yet each
+    SINR is P**30 / (1 + P**29.9), about 10**1.1."""
+    net = mknet([[[30, 29.9]], [[29.9, 30]]])
+    order, power = id_order(net), powers(net, [[0], [0]])
+    cfg = tc.FiniteSnrConfig(P=1e11)
+    with pytest.raises(OverflowError):
+        _ref_sinr_rates_ibc(net, order, power, cfg)
+    pairs = tc.sinr_rates_ibc(net, order, power, cfg)
+    for sinr, rate in pairs:
+        assert sinr == pytest.approx(10**1.1, rel=1e-12)
+        assert rate == pytest.approx(math.log2(1 + 10**1.1), rel=1e-12)
 
 
 def test_finite_snr_requires_p_above_one():
