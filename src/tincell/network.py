@@ -220,7 +220,15 @@ class ChannelStrengths:
         return E, tuple(tuple(tuple(a * f for a in row) for row in cell) for cell in ints)
 
     def floats(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
-        """Float view of the tensor (derived on demand; storage stays exact)."""
+        """Float view of the tensor; storage stays exact.
+
+        The view is built once per network object and shared by every call;
+        like :attr:`scaled`, it never shows in equality, hashing or ``repr``.
+        """
+        return self._floats
+
+    @functools.cached_property
+    def _floats(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
         return tuple(tuple(tuple(float(a) for a in row) for row in cell) for cell in self.alpha)
 
 

@@ -108,15 +108,29 @@ class PolyhedralRegion:
     constraints: tuple[LinearConstraint, ...]
 
     def __post_init__(self):
-        active = frozenset(self.users) - self.zero
-        if not active.issuperset(frozenset().union(*[c.users for c in self.constraints])):
-            raise ValueError("constraint mentions a zero-forced or unknown user")
+        _check_users(frozenset(self.users) - self.zero, [c.users for c in self.constraints])
+
+    @classmethod
+    def _assemble(cls, users, zero, constraints) -> "PolyhedralRegion":
+        """The region without ``__post_init__``'s check, for a builder that
+        has checked each of its constraints against ``zero`` itself."""
+        region = object.__new__(cls)
+        object.__setattr__(region, "users", users)
+        object.__setattr__(region, "zero", zero)
+        object.__setattr__(region, "constraints", constraints)
+        return region
 
     def is_empty(self) -> bool:
         return any(c.bound.numerator < 0 for c in self.constraints)
 
     def constraint_set(self) -> frozenset[tuple[frozenset[UserId], Fraction]]:
         return frozenset((c.users, c.bound) for c in self.constraints)
+
+
+def _check_users(active: frozenset, groups) -> None:
+    """Refuse user groups that name a user outside ``active``."""
+    if not active.issuperset(frozenset().union(*groups)):
+        raise ValueError("constraint mentions a zero-forced or unknown user")
 
 
 class RegimeLabel(Enum):
@@ -251,6 +265,10 @@ def polyhedral_region(
     of regions built, and it lives as long as the network object.  Blocks
     are built as the region's own constraints would be, so a region is
     the same, down to its ``repr``, whichever regions were built before.
+
+    Only the constraints built by the call are checked against the
+    zero-forced set, in place of :class:`PolyhedralRegion`'s check of every
+    constraint: a block is checked once, when it is built.
     """
     if len(subnet.slots_by_cell) != net.K or any(
         slots and slots[-1] > net.L[k] for k, slots in enumerate(subnet.slots_by_cell)
@@ -267,6 +285,10 @@ def polyhedral_region(
     zero = blocks.get(subnet)
     if zero is None:
         zero = blocks[subnet] = frozenset(net.users()) - subnet.members()
+    # user groups of the constraints built by this call; a block taken from
+    # the cache passed the check when it was built, and its key fixes every
+    # user it names
+    own = []
     constraints = []
     for i, perm in zip(M, perms):
         block = blocks.get((i, perm))
@@ -274,6 +296,7 @@ def polyhedral_region(
             block = blocks[i, perm] = tuple(
                 LinearConstraint(group, net.direct(i, top)) for group, top in zip(_prefix_groups(i, perm), perm)
             )
+            own += [c.users for c in block]
         constraints += block
     if len(M) >= 2:
         D = net.scaled[0]
@@ -286,12 +309,19 @@ def polyhedral_region(
                 block = blocks[key] = pairs if last is not None else tuple(
                     LinearConstraint(group, _bound(total, D)) for group, total in pairs
                 )
+                if last is None:
+                    own += [c.users for c in block]
             if last is None:
                 constraints += block
             else:
                 step = _step(net, blocks, *positions[-1], perms[last])
                 constraints += [LinearConstraint(g0 | g, _bound(s0 + m, D)) for g0, s0 in block for g, m in step]
-    return PolyhedralRegion(users=net.users(), zero=zero, constraints=tuple(constraints))
+                # groups grow with the prefix, so the last ones hold every
+                # user that these joined constraints name
+                own.append(block[-1][0] | step[-1][0])
+    if own:
+        _check_users(frozenset(net.users()) - zero, own)
+    return PolyhedralRegion._assemble(net.users(), zero, tuple(constraints))
 
 
 def contains(region: PolyhedralRegion, d: Sequence) -> bool:

@@ -218,3 +218,12 @@ def test_membership_reads_numpy_points(net_a):
         assert tc.contains(region, np_d) == tc.contains(region, py_d)
         assert tc.tina_region_contains(net_a, np_d) == tc.tina_region_contains(net_a, py_d)
     assert tc.contains(region, np.array([0.0, 0.9, 0.7]))
+
+
+def test_float_view_is_cached_and_never_shows(net_a):
+    twin = mknet([[[0.6, 0.2], [1.0, 0.1]], [[0.3, 1.0]]])
+    before = (repr(net_a), hash(net_a))
+    view = net_a.floats()
+    assert view == (((0.6, 0.2), (1.0, 0.1)), ((0.3, 1.0),))
+    assert net_a.floats() is view and twin.floats() is not view
+    assert net_a == twin and (repr(net_a), hash(net_a)) == before == (repr(twin), hash(twin))

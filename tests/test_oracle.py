@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 import tincell as tc
+from tincell import oracle
 from tincell.oracle import GridSpec, _Lattice, default_grid, strategy_count
+from tincell.sampling import random_network
 from tincell.strategies import SILENT, DecodingOrder, PowerAllocation
 
+from oracle_reference import radix_columns, ref_achievable, ref_max_sum, ref_points
 from sample_nets import mknet
 from strategy_reference import _ref_bounds
 
@@ -208,3 +211,83 @@ def test_exact_points_match_per_strategy_evaluation(rows):
         w = list(range(1, net.n_users + 1))
         best = max(sum(wi * x for wi, x in zip(w, p)) for p in want)
         assert tc.oracle_max_sum(net, side, w, grid, mode="exact") == best
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 50, 7, 2])
+def test_open_mesh_rows_come_in_radix_order(monkeypatch, chunk):
+    # 6 levels per user: at 50 one user is a scalar head, at 7 two are,
+    # and at 2 the last axis is cut into pieces as well
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    grid = GridSpec(Fraction(1, 4), Fraction(1))
+    for rows in ([[[1.0]]], [[[0.5, 0.25], [1.0, 0.5]], [[0.75, 0.5]]]):
+        lat = _Lattice(mknet(rows), grid, "exact")
+        got = np.concatenate([oracle._rows(cols) for cols in lat.iter_r_chunks()])
+        assert np.array_equal(got, np.stack(radix_columns(lat), axis=1))
+
+
+def _agrees_with_reference(net, grid, rng, modes=("exact", "float")):
+    """Points (in iteration order), max_sum and achievable answers of the
+    oracle equal those of the reference enumerator on both sides."""
+    for side in ("ibc", "imac"):
+        for mode in modes:
+            want = ref_points(net, side, grid, mode)
+            assert list(tc.grid_achievable_points(net, side, grid, mode)) == list(want), (side, mode)
+            w = [rng.randint(0, 4) for _ in range(net.n_users)]
+            best = tc.oracle_max_sum(net, side, w, grid, mode)
+            assert best == ref_max_sum(net, side, w, grid, mode) and type(best) is (float if mode == "float" else Fraction)
+            pts = sorted(want)
+            for p in pts[:: max(1, len(pts) // 3)]:
+                d = [x + rng.choice([-1, 0, 1]) * grid.step / 2 for x in p]
+                got = tc.oracle_achievable(net, side, d, grid, mode)
+                assert got == ref_achievable(net, side, d, grid, mode), (side, mode, d)
+
+
+@pytest.mark.parametrize("shape, step", [
+    ((1,), Fraction(1, 10)),
+    ((3,), Fraction(1, 10)),
+    ((2, 1), Fraction(1, 10)),
+    ((2, 1), Fraction(1, 5)),
+    ((1, 1, 1), Fraction(1, 5)),
+    ((2, 2), Fraction(1, 4)),
+    ((2, 1, 1), Fraction(1, 4)),
+])
+def test_oracle_matches_the_radix_lexsort_enumerator(shape, step):
+    rng = random.Random(f"{shape} {step}")
+    net = random_network(rng, len(shape), list(shape))
+    _agrees_with_reference(net, GridSpec(step, net.max_strength() + 1), rng)
+
+
+@pytest.mark.parametrize("shape, step, chunk", [
+    ((1,), Fraction(1, 10), 3),
+    ((2, 1), Fraction(1, 5), 150),
+    ((2, 1, 1), Fraction(1, 4), 150),
+])
+def test_chunked_oracle_matches_the_reference(monkeypatch, shape, step, chunk):
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    rng = random.Random(5)
+    net = random_network(rng, len(shape), list(shape))
+    grid = GridSpec(step, net.max_strength() + 1)
+    assert len(_Lattice(net, grid, "exact").levels) ** net.n_users > chunk
+    _agrees_with_reference(net, grid, rng)
+
+
+def test_wide_lattice_falls_back_to_rows_and_object_weights():
+    # scaled by 10^7 the strengths pass 2^40, so (top + 1)**2 keys leave
+    # int64 and the exact points take the lexsort path; weights of 10^6 put
+    # the weighted sum past 2^63 as well
+    net = mknet([[[1000000.0000001, 500000.5]], [[250000.25, 1000000]]])
+    grid = GridSpec(Fraction(250000), Fraction(1000001))
+    lat = _Lattice(net, grid, "exact")
+    assert (lat.top + 1) ** lat.n > 2**63
+    _agrees_with_reference(net, grid, random.Random(2), modes=("exact",))
+    for side in ("ibc", "imac"):
+        w = [10**6, 3]
+        assert lat.top * sum(w) >= 2**63
+        assert tc.oracle_max_sum(net, side, w, grid, "exact") == ref_max_sum(net, side, w, grid, "exact")
+
+
+def test_all_zero_weights_give_zero(net_a):
+    grid = GridSpec(Fraction(1, 4), Fraction(2))
+    for side in ("ibc", "imac"):
+        assert tc.oracle_max_sum(net_a, side, [0, 0, 0], grid, "exact") == 0
+        assert tc.oracle_max_sum(net_a, side, [0, 0, 0], grid, "float") == 0.0

@@ -95,6 +95,24 @@ def test_region_rejects_non_bijective_order(net_a):
         tc.polyhedral_region(net_a, {1: (1, 1), 2: (1,)}, s)
 
 
+def test_region_built_directly_checks_every_constraint(net_a):
+    users = net_a.users()
+    a, b, c = users
+    ok = tc.LinearConstraint(frozenset({a, b}), 1)
+    assert tc.PolyhedralRegion(users, frozenset({c}), (ok,)).constraints == (ok,)
+    for zero, bad in [(frozenset({c}), frozenset({b, c})), (frozenset(), frozenset({tc.UserId(3, 1)}))]:
+        with pytest.raises(ValueError, match="zero-forced or unknown"):
+            tc.PolyhedralRegion(users, zero, (ok, tc.LinearConstraint(bad, 1)))
+
+
+def test_built_regions_equal_directly_checked_ones(net_a):
+    # polyhedral_region checks only what it builds; the full check agrees
+    for subnet in _all_subnetworks(net_a):
+        for order in _all_suborders(subnet):
+            region = tc.polyhedral_region(net_a, order, subnet)
+            assert tc.PolyhedralRegion(region.users, region.zero, region.constraints) == region
+
+
 @given(nets(min_K=2, max_K=3, max_L=3))
 @settings(max_examples=40, deadline=None)
 def test_cyclic_constraint_count_formula(net):
